@@ -289,10 +289,14 @@ def solve_matrix(m: IntMatrix, y: Sequence[int]) -> Optional[tuple]:
     if len(y) != m.rows:
         raise ValueError("right-hand side has wrong length")
     u, _, d, v, _ = _snf_with_inverses(m)
-    uy = u.vec(y)
+    return _back_substitute(d, v, u.vec(y))
+
+
+def _back_substitute(d: IntMatrix, v: IntMatrix, uy: Sequence[int]) -> Optional[tuple]:
+    """x = v z with d z = uy, free parameters zero; None if unsolvable."""
     diag = d.diagonal()
-    z = [0] * m.cols
-    for i in range(m.rows):
+    z = [0] * d.cols
+    for i in range(d.rows):
         di = diag[i] if i < len(diag) else 0
         if di == 0:
             if uy[i] != 0:
@@ -664,6 +668,29 @@ def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     return h.domain.element(sol[: h.domain.ngens])
 
 
+def section_matrix(h: Hom) -> IntMatrix:
+    """Canonical preimages of all codomain generators under a surjection.
+
+    Column j is exactly the coordinate vector of solve_hom(h, g_j) for
+    the codomain generator g_j, but all columns come from one Smith form.
+    The canonical solution is Z-linear on the image lattice, so
+    h.domain.element(section.vec(y.coords)) equals solve_hom(h, y) for
+    every element y of the codomain.
+    """
+    na, nb = h.domain.ngens, h.codomain.ngens
+    if nb == 0:
+        return IntMatrix.zeros(na, 0)
+    stacked = h.matrix.hstack(h.codomain.relations())
+    u, _, d, v, _ = _snf_with_inverses(stacked)
+    cols = []
+    for uy in u.columns():
+        sol = _back_substitute(d, v, uy)
+        if sol is None:
+            raise HomError("not surjective: a codomain generator has no preimage")
+        cols.append(h.domain.reduce_coords(sol[:na]))
+    return IntMatrix.from_columns(cols, na)
+
+
 def is_injective(h: Hom) -> bool:
     return kernel(h)[0].is_zero()
 
@@ -680,13 +707,7 @@ def hom_inverse(h: Hom) -> Hom:
     """Inverse of an isomorphism."""
     if not is_isomorphism(h):
         raise HomError("not an isomorphism")
-    images = []
-    for i in range(h.codomain.ngens):
-        x = solve_hom(h, h.codomain.generator(i))
-        if x is None:
-            raise HomError("not surjective, cannot invert")
-        images.append(x)
-    return Hom.from_images(h.codomain, h.domain, images)
+    return Hom(h.codomain, h.domain, section_matrix(h))
 
 
 # ---------------------------------------------------------------------------
@@ -742,10 +763,3 @@ def quotient_by(ambient: FgGroup,
     group, proj, _ = cokernel_presentation(n, rels)
     return group, Hom(ambient, group, proj)
 
-
-def section_of_projection(proj: Hom, y: GroupElement) -> GroupElement:
-    """Canonical preimage of y under a surjection."""
-    x = solve_hom(proj, y)
-    if x is None:
-        raise HomError("projection is not onto the given element")
-    return x

@@ -30,7 +30,7 @@ from .abelian import (
     cokernel,
     is_isomorphism,
     kernel,
-    solve_hom,
+    section_matrix,
 )
 from .gysin import CircleBundle, TotalSpaceCohomology, total_space_cohomology
 from .spaces import GradedCohomology, sum_named
@@ -114,9 +114,8 @@ class MappingTorusCohomology:
 
 def _coinvariant_names(h1, proj, cover_names, circle, degree):
     names = []
-    for j in range(h1.ngens):
-        pre = solve_hom(proj, h1.generator(j))
-        nz = [(i, c) for i, c in enumerate(pre.coords) if c != 0]
+    for j, pre in enumerate(section_matrix(proj).columns()):
+        nz = [(i, c) for i, c in enumerate(pre) if c != 0]
         if len(nz) == 1 and nz[0][1] in (1, -1):
             base = cover_names[nz[0][0]]
             names.append(circle if base == "1" else f"{base}{circle}")

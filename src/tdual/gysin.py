@@ -32,7 +32,7 @@ from .abelian import (
     cokernel,
     is_exact_at,
     kernel,
-    solve_hom,
+    section_matrix,
 )
 from .spaces import GradedCohomology, sum_named
 
@@ -105,9 +105,8 @@ class TotalSpaceCohomology:
         kk, ker_incl = kernel(cup_out)
 
         cnames = []
-        for j in range(ck.ngens):
-            pre = solve_hom(coker_proj, ck.generator(j))
-            name = _aligned_name(pre.coords, base.names[k], lambda s: f"p*({s})")
+        for j, pre in enumerate(section_matrix(coker_proj).columns()):
+            name = _aligned_name(pre, base.names[k], lambda s: f"p*({s})")
             cnames.append(name if name else f"p*[{k}.{j}]")
         knames = []
         for j in range(kk.ngens):
@@ -164,16 +163,6 @@ class TotalSpaceCohomology:
 
     def ambiguous_degrees(self) -> list[int]:
         return [k for k in range(self.top + 1) if self.degrees[k].ambiguous]
-
-    def as_graded(self) -> GradedCohomology:
-        return GradedCohomology(
-            label=f"E({self.base.label};{list(self.euler.coords)})",
-            max_degree=self.top,
-            groups=tuple(d.group for d in self.degrees),
-            names=tuple(d.names for d in self.degrees),
-            cup_gens=None,
-            simply_connected=None,
-        )
 
 
 def total_space_cohomology(bundle: CircleBundle,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from .abelian import FgGroup, GroupElement, Hom, IntMatrix
+from .abelian import FgGroup, Hom, IntMatrix
 
 SCHEMA_VERSION = 1
 
@@ -28,10 +28,6 @@ def group_from_json(d: dict) -> FgGroup:
 def matrix_json(m: IntMatrix) -> dict:
     return {"rows": m.rows, "cols": m.cols,
             "entries": [list(r) for r in m.entries]}
-
-
-def element_json(x: GroupElement) -> dict:
-    return {"coords": list(x.coords), "group": group_json(x.group)}
 
 
 def hom_json(h: Hom) -> dict:

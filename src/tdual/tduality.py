@@ -31,7 +31,7 @@ from .abelian import (
     image,
     is_isomorphism,
     quotient_by,
-    section_of_projection,
+    section_matrix,
     solve_hom,
 )
 from .gysin import CircleBundle, TotalSpaceCohomology, total_space_cohomology
@@ -159,7 +159,8 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
     quotient, proj = quotient_by(h2, [gen])
     reps = None
     if quotient.is_finite() and quotient.order() <= ENUMERATION_CAP:
-        reps = tuple(section_of_projection(proj, q) for q in quotient.elements())
+        sect = section_matrix(proj)
+        reps = tuple(h2.element(sect.vec(q.coords)) for q in quotient.elements())
     return CosetData(
         subgroup_generator=gen,
         representative=representative,
@@ -173,9 +174,8 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
 def _induced_on_quotient(src_proj: Hom, composite: Hom) -> Hom:
     """The map on quotients induced by `composite`, which must kill the
     subgroup divided out by src_proj."""
-    images = [composite(section_of_projection(src_proj, g))
-              for g in src_proj.codomain.generators()]
-    return Hom.from_images(src_proj.codomain, composite.codomain, images)
+    return Hom(src_proj.codomain, composite.codomain,
+               composite.matrix @ section_matrix(src_proj))
 
 
 def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,

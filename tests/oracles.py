@@ -1,9 +1,11 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Nothing in here uses the package's reduction algorithms.  Invariant
-factors come from determinantal divisors (gcds of k x k minors), and all
-group-level checks work by enumerating elements of finite groups.  These
-are the reference implementations the fast code is tested against.
+Apart from the last section, nothing in here uses the package's
+reduction algorithms.  Invariant factors come from determinantal divisors
+(gcds of k x k minors), and all group-level checks work by enumerating
+elements of finite groups.  These are the reference implementations the
+fast code is tested against.  The last section keeps the per-element
+solving path (one Smith form per element) that batched code must match.
 """
 
 from __future__ import annotations
@@ -179,3 +181,19 @@ def all_group_moduli_up_to(max_order):
 
     extend((), 2, max_order)
     return [()] + chains
+
+
+# ---------------------------------------------------------------------------
+# per-element preimages (one solve_hom, hence one Smith form, per element)
+# ---------------------------------------------------------------------------
+
+def per_element_preimages(h, elements):
+    """solve_hom(h, y) for each y, failing loudly on an element off the image."""
+    from tdual.abelian import solve_hom
+
+    out = []
+    for y in elements:
+        x = solve_hom(h, y)
+        assert x is not None, f"{y.coords} has no preimage"
+        out.append(x)
+    return out

@@ -1,6 +1,7 @@
 import pytest
 
 from tdual.abelian import FgGroup, ZERO_GROUP
+from tdual.cli import run_job
 from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import (
     BNotLiftableError,
@@ -299,3 +300,41 @@ def test_coset_counts_match_brute_force():
         x = h2.element([c])
         reps.add(src.projection(x).coords)
     assert len(reps) == src.quotient.order() == rep.target_coset.quotient.order()
+
+
+# ---------------------------------------------------------------------------
+# coset transport through the reported witness
+# ---------------------------------------------------------------------------
+
+def _witness_transports_b(doc):
+    """Does the report's coset isomorphism send the class of b to that of b#?"""
+    cosets = doc["cosets"]
+    target = cosets["target"]["quotient"]
+    quotient = FgGroup(target["rank"], tuple(target["torsion"]))
+    image = [sum(a * c for a, c in zip(row, cosets["source"]["coset"]))
+             for row in cosets["isomorphism"]["matrix"]["entries"]]
+    return list(quotient.reduce_coords(image)) == cosets["target"]["coset"]
+
+
+@pytest.mark.xfail(strict=True, reason="the fallback witness (natural: false, "
+                   "identity on canonical generators) ignores b: on Sigma3 it "
+                   "sends the source coset (..., 1) to (..., 1), but b# lies "
+                   "in (..., 2)")
+@pytest.mark.parametrize("spec", [
+    {"mode": "dualize", "base": "Sigma3", "euler": "-3", "flux": "3*vol.z",
+     "b": [0, 0, 0, 0, 0, 0, -2]},
+    {"mode": "dualize", "base": "Sigma4", "euler": "-3", "flux": [3],
+     "b": "2*p*(vol)"},
+])
+def test_fallback_witness_transports_the_b_coset(spec):
+    doc = run_job(spec)
+    assert doc["cosets"]["natural"] is False
+    assert _witness_transports_b(doc)
+
+
+def test_natural_witness_transports_the_b_coset():
+    doc = run_job({"mode": "dualize", "base": "S2", "euler": "0",
+                   "flux": "6*vol.z", "b": "1*p*(vol)"})
+    assert doc["cosets"]["source"]["coset"] == [1]
+    assert doc["cosets"]["natural"] is True
+    assert _witness_transports_b(doc)
