@@ -39,15 +39,12 @@ from .gysin import (
     CircleBundle,
     TotalSpaceCohomology,
     exactness_audit,
-    pullback_of,
-    pushforward_of,
     total_space_cohomology,
 )
 from .spaces import (
     CatalogSpace,
     GradedCohomology,
     cohomology_of,
-    kunneth_with_circle,
     parse_space,
 )
 from .tduality import (
@@ -68,9 +65,8 @@ __all__ = [
     "smith_normal_form", "kernel", "image", "cokernel", "is_exact_at",
     "element_order",
     "CatalogSpace", "GradedCohomology", "parse_space", "cohomology_of",
-    "kunneth_with_circle",
     "CircleBundle", "TotalSpaceCohomology", "total_space_cohomology",
-    "pullback_of", "pushforward_of", "exactness_audit",
+    "exactness_audit",
     "Triple", "DualityReport", "make_triple", "dualize", "dual_euler",
     "dual_flux", "coset_partition", "verify_coset_isomorphism",
     "ZAction", "MappingTorusData", "z_group_cohomology",

@@ -110,10 +110,6 @@ class IntMatrix:
         ent = tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
         return IntMatrix(self.rows, self.cols + other.cols, ent)
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows,
-                         tuple(self.column(j) for j in range(self.cols)))
-
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in add")
@@ -130,32 +126,6 @@ class IntMatrix:
 
     def diagonal(self) -> list[int]:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
-
-
-def determinant(m: IntMatrix) -> int:
-    """Fraction-free Bareiss determinant of a square integer matrix."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
 
 
 def _snf_with_inverses(m: IntMatrix):
@@ -700,13 +670,16 @@ def is_surjective(h: Hom) -> bool:
 
 
 def is_isomorphism(h: Hom) -> bool:
-    return is_injective(h) and is_surjective(h)
+    """True iff h is bijective, decided with one Smith form: canonical
+    forms are unique, so only equal groups are isomorphic, and a surjective
+    endomorphism of a finitely generated abelian group is injective."""
+    return h.domain == h.codomain and is_surjective(h)
 
 
 def hom_inverse(h: Hom) -> Hom:
-    """Inverse of an isomorphism."""
-    if not is_isomorphism(h):
-        raise HomError("not an isomorphism")
+    """Inverse of an isomorphism; HomError for any other map."""
+    if h.domain != h.codomain:
+        raise HomError("not an isomorphism: domain and codomain differ")
     return Hom(h.codomain, h.domain, section_matrix(h))
 
 
@@ -743,15 +716,6 @@ def direct_sum(summands: Sequence[FgGroup]):
                                     group.ngens)
         projections.append(Hom(group, g, block))
     return group, inclusions, projections
-
-
-def subgroup_generated(ambient: FgGroup, elements: Sequence[GroupElement]):
-    """The subgroup generated by the given elements, with its embedding."""
-    for x in elements:
-        if x.group != ambient:
-            raise ValueError("generator lies in the wrong group")
-    h = Hom.from_images(FgGroup(len(elements)), ambient, list(elements))
-    return image(h)
 
 
 def quotient_by(ambient: FgGroup,

@@ -33,7 +33,7 @@ from .abelian import (
     section_matrix,
 )
 from .gysin import CircleBundle, TotalSpaceCohomology, total_space_cohomology
-from .spaces import GradedCohomology, sum_named
+from .spaces import GradedCohomology, inherited_names, sum_named, unit_index
 
 
 class SelfTestError(RuntimeError):
@@ -112,30 +112,6 @@ class MappingTorusCohomology:
     ambiguous: tuple       # degrees where the two-row extension is torsion
 
 
-def _coinvariant_names(h1, proj, cover_names, circle, degree):
-    names = []
-    for j, pre in enumerate(section_matrix(proj).columns()):
-        nz = [(i, c) for i, c in enumerate(pre) if c != 0]
-        if len(nz) == 1 and nz[0][1] in (1, -1):
-            base = cover_names[nz[0][0]]
-            names.append(circle if base == "1" else f"{base}{circle}")
-        else:
-            names.append(f"{circle}[{degree}.{j}]")
-    return tuple(names)
-
-
-def _invariant_names(h0, incl, cover_names, degree):
-    names = []
-    for j in range(h0.ngens):
-        col = incl.matrix.column(j)
-        nz = [(i, c) for i, c in enumerate(col) if c != 0]
-        if len(nz) == 1 and nz[0][1] in (1, -1):
-            names.append(cover_names[nz[0][0]])
-        else:
-            names.append(f"inv[{degree}.{j}]")
-    return tuple(names)
-
-
 def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
     """Assemble H^* of the mapping torus from the deck actions.
 
@@ -147,15 +123,21 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
     groups = []
     names = []
     flagged = []
+    circle = data.circle_class
     for n in range(cover.max_degree + 1):
         (h0, incl), _ = z_group_cohomology(data.action(n))
         if n >= 1:
             _, (h1, proj) = z_group_cohomology(data.action(n - 1))
-            h1_names = _coinvariant_names(h1, proj, cover.names[n - 1],
-                                          data.circle_class, n)
+            h1_names = inherited_names(
+                section_matrix(proj).columns(), cover.group(n - 1),
+                cover.names[n - 1],
+                lambda s: circle if s == "1" else f"{s}{circle}",
+                lambda j: f"{circle}[{n}.{j}]")
         else:
             h1, h1_names = ZERO_GROUP, ()
-        h0_names = _invariant_names(h0, incl, cover.names[n], n)
+        h0_names = inherited_names(incl.matrix.columns(), cover.group(n),
+                                   cover.names[n], lambda s: s,
+                                   lambda j: f"inv[{n}.{j}]")
         total, ns, _, _ = sum_named([(h1, h1_names), (h0, h0_names)])
         if not h0.is_free() and not h1.is_zero():
             flagged.append(n)
@@ -255,10 +237,9 @@ def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull, base):
             if name in ref_pull:
                 # generator pulled back from the base
                 pre = base.named_element(k, ref_pull[name])
-                img = tsc.pullback(k)(pre)
-                nz = [(i, c) for i, c in enumerate(img.coords) if c != 0]
-                if len(nz) == 1 and nz[0][1] in (1, -1) and nz[0][0] not in used:
-                    idx = nz[0][0]
+                idx = unit_index(tsc.pullback(k)(pre).coords, g)
+                if idx in used:
+                    idx = None
             if idx is None:
                 # a generator characterized by its pushforward, or the unit
                 for i in range(g.ngens):

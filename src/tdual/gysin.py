@@ -34,7 +34,7 @@ from .abelian import (
     kernel,
     section_matrix,
 )
-from .spaces import GradedCohomology, sum_named
+from .spaces import GradedCohomology, inherited_names, sum_named
 
 
 class GysinError(ValueError):
@@ -70,13 +70,6 @@ class GysinDegree:
     ambiguous: bool
 
 
-def _aligned_name(coords, names, fmt):
-    nz = [(i, c) for i, c in enumerate(coords) if c != 0]
-    if len(nz) == 1 and nz[0][1] in (1, -1):
-        return fmt(names[nz[0][0]])
-    return None
-
-
 class TotalSpaceCohomology:
     """Cohomology of the total space with the Gysin maps, degrees 0..top."""
 
@@ -104,19 +97,15 @@ class TotalSpaceCohomology:
         ck, coker_proj = cokernel(cup_in)
         kk, ker_incl = kernel(cup_out)
 
-        cnames = []
-        for j, pre in enumerate(section_matrix(coker_proj).columns()):
-            name = _aligned_name(pre, base.names[k], lambda s: f"p*({s})")
-            cnames.append(name if name else f"p*[{k}.{j}]")
-        knames = []
-        for j in range(kk.ngens):
-            img = ker_incl(kk.generator(j))
-            name = _aligned_name(img.coords, base.names[k - 1] if k >= 1 else (),
-                                 lambda s: f"{s}.z")
-            knames.append(name if name else f"z[{k}.{j}]")
+        cnames = inherited_names(
+            section_matrix(coker_proj).columns(), base.group(k), base.names[k],
+            lambda s: f"p*({s})", lambda j: f"p*[{k}.{j}]")
+        knames = inherited_names(
+            ker_incl.matrix.columns(), base.group(k - 1),
+            base.names[k - 1] if k >= 1 else (),
+            lambda s: f"{s}.z", lambda j: f"z[{k}.{j}]")
 
-        group, names, incls, projs = sum_named([(ck, tuple(cnames)),
-                                                (kk, tuple(knames))])
+        group, names, incls, projs = sum_named([(ck, cnames), (kk, knames)])
         into_coker, into_ker = incls
         onto_coker, onto_ker = projs
         pullback = into_coker.compose(coker_proj)
@@ -174,18 +163,6 @@ def total_space_cohomology(bundle: CircleBundle,
     """
     top = bundle.base.max_degree - 1 if max_degree is None else max_degree
     return TotalSpaceCohomology(bundle, top)
-
-
-def pullback_of(tsc: TotalSpaceCohomology, k: int, y: GroupElement) -> GroupElement:
-    if y.group != tsc.base.group(k):
-        raise GysinError(f"class does not live in H^{k} of the base")
-    return tsc.pullback(k)(y)
-
-
-def pushforward_of(tsc: TotalSpaceCohomology, k: int, x: GroupElement) -> GroupElement:
-    if x.group != tsc.group(k):
-        raise GysinError(f"class does not live in H^{k} of the total space")
-    return tsc.pushforward(k)(x)
 
 
 def exactness_audit(tsc: TotalSpaceCohomology) -> bool:

@@ -277,103 +277,68 @@ def cohomology_of(space: CatalogSpace, max_degree: int) -> GradedCohomology:
 
 
 # ---------------------------------------------------------------------------
-# sums with generator names
+# generator names
 # ---------------------------------------------------------------------------
+
+def unit_index(coords: Sequence[int], group: FgGroup) -> Optional[int]:
+    """Index of the only nonzero coordinate when it is a unit, else None.
+
+    This is the one rule by which a canonical generator inherits a name:
+    its coordinates in a named group must be +-g for a single named
+    generator g.  A unit is +-1, and on a Z/d coordinate, which is stored
+    reduced, also d - 1.
+
+    >>> unit_index((0, -1), FgGroup(2))
+    1
+    >>> unit_index((0, 2), FgGroup(1, (3,)))
+    1
+    >>> unit_index((0, 2), FgGroup(2)) is None
+    True
+    >>> unit_index((1, 1), FgGroup(2)) is None
+    True
+    """
+    nz = [i for i, c in enumerate(coords) if c != 0]
+    if len(nz) != 1:
+        return None
+    i = nz[0]
+    c = coords[i]
+    tors = i - group.free_rank
+    if c in (1, -1) or (tors >= 0 and c == group.torsion[tors] - 1):
+        return i
+    return None
+
+
+def inherited_names(columns, group: FgGroup, names, inherit, synthetic) -> tuple:
+    """One label per coordinate column in `group`, whose generators are
+    `names`: inherit(name) where unit_index finds a generator, else
+    synthetic(j) for column j."""
+    labels = []
+    for j, col in enumerate(columns):
+        i = unit_index(col, group)
+        labels.append(synthetic(j) if i is None else inherit(names[i]))
+    return tuple(labels)
+
 
 def sum_named(parts):
     """Direct sum of (group, names) pairs, tracking generator labels.
 
     Returns (group, names, inclusions, projections).  A canonical
-    generator inherits a label when it projects to exactly one original
-    generator with coefficient +-1 and to zero elsewhere; otherwise it
-    gets a synthetic label.
+    generator inherits a label when it projects to zero in all parts but
+    one, and to a unit multiple of one named generator there (see
+    unit_index); otherwise it gets the synthetic label u<i>.
     """
     groups = [g for g, _ in parts]
     total, incls, projs = direct_sum(groups)
+    columns = [p.matrix.columns() for p in projs]
     names = []
     for i in range(total.ngens):
-        gen = total.generator(i)
-        hits = []
-        clean = True
-        for (g, ns), p in zip(parts, projs):
-            img = p(gen)
-            for j, c in enumerate(img.coords):
-                if c == 0:
-                    continue
-                order = g.torsion[j - g.free_rank] if j >= g.free_rank else 0
-                unit = c in (1, -1) or (order and c == order - 1)
-                hits.append((ns[j], unit))
-        if len(hits) == 1 and hits[0][1]:
-            names.append(hits[0][0])
-        else:
-            names.append(f"u{i}")
+        hits = [(g, ns, cols[i]) for (g, ns), cols in zip(parts, columns)
+                if any(cols[i])]
+        label = f"u{i}"
+        if len(hits) == 1:
+            g, ns, col = hits[0]
+            j = unit_index(col, g)
+            if j is not None:
+                label = ns[j]
+        names.append(label)
     return total, tuple(names), incls, projs
-
-
-def kunneth_with_circle(w: GradedCohomology) -> GradedCohomology:
-    """Cohomology of W x S^1: H^k = H^k(W) + H^(k-1)(W).
-
-    Generators from H^k(W) keep their names with suffix '.1'; the ones
-    coming from H^(k-1)(W) (times the circle class) get suffix '.z'.
-    Cup products are defined for classes pulled back from W and act
-    blockwise; the circle-factor degree-one classes carry no ring data.
-    """
-    D = w.max_degree
-    groups = []
-    names = []
-    incls_1 = []
-    incls_z = []
-    projs_1 = []
-    projs_z = []
-    for k in range(D + 1):
-        wk = w.group(k)
-        wk1 = w.group(k - 1)
-        nk = tuple(f"{n}.1" for n in w.names[k])
-        nk1 = tuple(f"{n}.z" for n in (w.names[k - 1] if k >= 1 else ()))
-        total, ns, incls, projs = sum_named([(wk, nk), (wk1, nk1)])
-        groups.append(total)
-        names.append(ns)
-        incls_1.append(incls[0])
-        incls_z.append(incls[1])
-        projs_1.append(projs[0])
-        projs_z.append(projs[1])
-
-    cup_table = None
-    if w.has_ring_data() and D >= 2:
-        n2 = groups[2].ngens
-        table = []
-        for i in range(n2):
-            # which original generator does product generator i come from?
-            src_w = projs_1[2](groups[2].generator(i))
-            src_z = projs_z[2](groups[2].generator(i))
-            if not src_z.is_zero() or sum(1 for c in src_w.coords if c) != 1:
-                table.append(tuple(None for _ in range(D + 1)))
-                continue
-            j = next(idx for idx, c in enumerate(src_w.coords) if c)
-            if src_w.coords[j] not in (1, -1):
-                table.append(tuple(None for _ in range(D + 1)))
-                continue
-            sign = src_w.coords[j]
-            base_gen = w.group(2).generator(j)
-            row = []
-            for k in range(D + 1):
-                if k + 2 > D:
-                    row.append(None)
-                    continue
-                cw_k = w.cup_by(base_gen, k)
-                cw_k1 = w.cup_by(base_gen, k - 1) if k >= 1 else Hom.zero(
-                    ZERO_GROUP, w.group(k + 1))
-                part1 = incls_1[k + 2].compose(cw_k).compose(projs_1[k]).matrix
-                partz = incls_z[k + 2].compose(cw_k1).compose(projs_z[k]).matrix
-                row.append(part1.add(partz).scale(sign))
-            table.append(tuple(row))
-        cup_table = tuple(table)
-
-    return GradedCohomology(
-        label=f"{w.label}xS1",
-        max_degree=D,
-        groups=tuple(groups),
-        names=tuple(names),
-        cup_gens=cup_table,
-        simply_connected=False,
-    )

@@ -171,13 +171,6 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
     )
 
 
-def _induced_on_quotient(src_proj: Hom, composite: Hom) -> Hom:
-    """The map on quotients induced by `composite`, which must kill the
-    subgroup divided out by src_proj."""
-    return Hom(src_proj.codomain, composite.codomain,
-               composite.matrix @ section_matrix(src_proj))
-
-
 def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
                        source_coset: CosetData, target_coset: CosetData):
     """An isomorphism between the two coset quotients.
@@ -191,10 +184,12 @@ def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
     base = t.base
     w2 = base.group(2)
     qw, projw = quotient_by(w2, [t.euler, dual_total.euler])
-    p_bar = _induced_on_quotient(
-        projw, source_coset.projection.compose(t.total.pullback(2)))
-    q_bar = _induced_on_quotient(
-        projw, target_coset.projection.compose(dual_total.pullback(2)))
+    sect = section_matrix(projw)
+    # the maps induced on qw: each composite kills <e, e#>
+    p_bar = Hom(qw, source_coset.quotient, source_coset.projection.matrix
+                @ t.total.pullback(2).matrix @ sect)
+    q_bar = Hom(qw, target_coset.quotient, target_coset.projection.matrix
+                @ dual_total.pullback(2).matrix @ sect)
     if is_isomorphism(p_bar) and is_isomorphism(q_bar):
         return q_bar.compose(hom_inverse(p_bar)), True
     if source_coset.quotient == target_coset.quotient:

@@ -1,17 +1,22 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Apart from the last section, nothing in here uses the package's
+Apart from the last two sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
-(gcds of k x k minors), and all group-level checks work by enumerating
-elements of finite groups.  These are the reference implementations the
-fast code is tested against.  The last section keeps the per-element
-solving path (one Smith form per element) that batched code must match.
+(gcds of k x k minors), determinants from fraction-free elimination, and
+all group-level checks work by enumerating elements of finite groups.
+These are the reference implementations the fast code is tested against.
+The last two sections use package code: the per-element solving path
+(one Smith form per element) that batched code must match, and the
+circle Kunneth product built from the package's direct sums.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 from math import gcd, prod
+
+from tdual.abelian import ZERO_GROUP, Hom, solve_hom
+from tdual.spaces import GradedCohomology, sum_named
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +61,36 @@ def invariant_factors_oracle(rows):
         result.append(g // prev)
         prev = g
     return result
+
+
+# ---------------------------------------------------------------------------
+# determinants
+# ---------------------------------------------------------------------------
+
+def determinant(m) -> int:
+    """Fraction-free Bareiss determinant of a square IntMatrix."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -189,11 +224,82 @@ def all_group_moduli_up_to(max_order):
 
 def per_element_preimages(h, elements):
     """solve_hom(h, y) for each y, failing loudly on an element off the image."""
-    from tdual.abelian import solve_hom
-
     out = []
     for y in elements:
         x = solve_hom(h, y)
         assert x is not None, f"{y.coords} has no preimage"
         out.append(x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Kunneth products with a circle (uses package code)
+# ---------------------------------------------------------------------------
+
+def kunneth_with_circle(w: GradedCohomology) -> GradedCohomology:
+    """Cohomology of W x S^1: H^k = H^k(W) + H^(k-1)(W).
+
+    Generators from H^k(W) keep their names with suffix '.1'; the ones
+    coming from H^(k-1)(W) (times the circle class) get suffix '.z'.
+    Cup products are defined for classes pulled back from W and act
+    blockwise; the circle-factor degree-one classes carry no ring data.
+    """
+    D = w.max_degree
+    groups = []
+    names = []
+    incls_1 = []
+    incls_z = []
+    projs_1 = []
+    projs_z = []
+    for k in range(D + 1):
+        wk = w.group(k)
+        wk1 = w.group(k - 1)
+        nk = tuple(f"{n}.1" for n in w.names[k])
+        nk1 = tuple(f"{n}.z" for n in (w.names[k - 1] if k >= 1 else ()))
+        total, ns, incls, projs = sum_named([(wk, nk), (wk1, nk1)])
+        groups.append(total)
+        names.append(ns)
+        incls_1.append(incls[0])
+        incls_z.append(incls[1])
+        projs_1.append(projs[0])
+        projs_z.append(projs[1])
+
+    cup_table = None
+    if w.has_ring_data() and D >= 2:
+        n2 = groups[2].ngens
+        table = []
+        for i in range(n2):
+            # which original generator does product generator i come from?
+            src_w = projs_1[2](groups[2].generator(i))
+            src_z = projs_z[2](groups[2].generator(i))
+            if not src_z.is_zero() or sum(1 for c in src_w.coords if c) != 1:
+                table.append(tuple(None for _ in range(D + 1)))
+                continue
+            j = next(idx for idx, c in enumerate(src_w.coords) if c)
+            if src_w.coords[j] not in (1, -1):
+                table.append(tuple(None for _ in range(D + 1)))
+                continue
+            sign = src_w.coords[j]
+            base_gen = w.group(2).generator(j)
+            row = []
+            for k in range(D + 1):
+                if k + 2 > D:
+                    row.append(None)
+                    continue
+                cw_k = w.cup_by(base_gen, k)
+                cw_k1 = w.cup_by(base_gen, k - 1) if k >= 1 else Hom.zero(
+                    ZERO_GROUP, w.group(k + 1))
+                part1 = incls_1[k + 2].compose(cw_k).compose(projs_1[k]).matrix
+                partz = incls_z[k + 2].compose(cw_k1).compose(projs_z[k]).matrix
+                row.append(part1.add(partz).scale(sign))
+            table.append(tuple(row))
+        cup_table = tuple(table)
+
+    return GradedCohomology(
+        label=f"{w.label}xS1",
+        max_degree=D,
+        groups=tuple(groups),
+        names=tuple(names),
+        cup_gens=cup_table,
+        simply_connected=False,
+    )

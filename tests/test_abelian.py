@@ -10,7 +10,6 @@ from tdual.abelian import (
     IntMatrix,
     ZERO_GROUP,
     cokernel,
-    determinant,
     direct_sum,
     element_order,
     hom_inverse,
@@ -23,10 +22,10 @@ from tdual.abelian import (
     quotient_by,
     smith_normal_form,
     solve_hom,
-    subgroup_generated,
 )
 
 from . import oracles
+from .oracles import determinant
 
 
 def snf_ok(m: IntMatrix):
@@ -242,7 +241,7 @@ def test_quotient_and_subgroup():
     q, proj = quotient_by(g, [x])
     assert q == FgGroup(2, (2,))
     assert proj(x).is_zero()
-    sub, incl = subgroup_generated(g, [x])
+    sub, incl = image(Hom.from_images(FgGroup(1), g, [x]))
     assert sub == FgGroup(1)
     assert incl(sub.generator(0)) in (x, -x)
 

@@ -22,7 +22,6 @@ from tdual.abelian import (
     IntMatrix,
     ZERO_GROUP,
     cokernel,
-    determinant,
     image,
     is_exact_at,
     is_injective,
@@ -40,7 +39,7 @@ from tdual.classifying import (
     universal_bundle_tables,
 )
 from tdual.gysin import CircleBundle, exactness_audit, total_space_cohomology
-from tdual.spaces import cohomology_of, kunneth_with_circle, parse_space
+from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import (
     FLAG_AMBIGUOUS,
     Triple,
@@ -49,6 +48,7 @@ from tdual.tduality import (
 )
 
 from . import oracles
+from .oracles import determinant, kunneth_with_circle
 
 Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))

@@ -2,8 +2,10 @@
 
 section_matrix must give, column for column, what one solve_hom per
 codomain generator gives, and coset enumeration built on it must list
-exactly the per-element preimages.  The Smith-form counts pin that each
-surjection is factored once, not once per generator or coset.
+exactly the per-element preimages.  is_isomorphism and hom_inverse, which
+rest on one cokernel and one section, must agree with the kernel-and-
+cokernel definition.  The Smith-form counts pin that each surjection is
+factored once, not once per generator or coset.
 """
 
 import pytest
@@ -11,7 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdual import abelian
-from tdual.abelian import FgGroup, Hom, HomError, IntMatrix, quotient_by, section_matrix
+from math import gcd
+
+from tdual.abelian import (
+    FgGroup,
+    Hom,
+    HomError,
+    IntMatrix,
+    cokernel,
+    hom_inverse,
+    is_isomorphism,
+    kernel,
+    quotient_by,
+    section_matrix,
+)
 from tdual.cli import run_job
 from tdual.gysin import CircleBundle, total_space_cohomology
 from tdual.spaces import cohomology_of, parse_space
@@ -65,6 +80,63 @@ def ambient_and_generator(draw):
     return ambient, gen
 
 
+def _order(group, i):
+    """Order of canonical generator i; 0 for a free one."""
+    return group.torsion[i - group.free_rank] if i >= group.free_rank else 0
+
+
+def _random_matrix(draw, domain, codomain):
+    """A well-defined hom matrix: a torsion generator of order d goes to
+    an element killed by d."""
+    entry = st.integers(-4, 4)
+    cols = []
+    for j in range(domain.ngens):
+        d = _order(domain, j)
+        col = [0 if d else draw(entry) for _ in range(codomain.free_rank)]
+        for e in codomain.torsion:
+            col.append(draw(entry) * (e // gcd(d, e)))
+        cols.append(col)
+    return IntMatrix.from_columns(cols, codomain.ngens)
+
+
+def _random_automorphism(draw, group):
+    """A product of elementary automorphisms: e_j -> e_j + q e_i where
+    that is well defined, e_j -> u e_j for a unit u, and swaps of
+    generators of equal order."""
+    n = group.ngens
+    h = Hom.identity(group)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        di, dj = _order(group, i), _order(group, j)
+        m = [[int(r == c) for c in range(n)] for r in range(n)]
+        if i == j:
+            units = [u for u in range(1, max(dj, 2)) if gcd(u, dj) == 1]
+            m[j][j] = draw(st.sampled_from(units + [-1]))
+        elif di == dj and draw(st.booleans()):
+            m[i][i] = m[j][j] = 0
+            m[i][j] = m[j][i] = 1
+        elif dj == 0 or di != 0:
+            step = di // gcd(di, dj) if dj else 1
+            m[i][j] = draw(st.integers(-3, 3)) * step
+        h = Hom(group, group, IntMatrix.from_rows(m, n)).compose(h)
+    return h
+
+
+@st.composite
+def homs(draw):
+    """Homs between groups with up to 8 generators and torsion: random
+    automorphisms, random endomorphisms and random maps between two
+    groups."""
+    domain = FgGroup(draw(st.integers(0, 3)), draw(torsion_chains(0, 5)))
+    kind = draw(st.sampled_from(["automorphism", "endomorphism", "any"]))
+    if kind == "automorphism" and domain.ngens:
+        return _random_automorphism(draw, domain)
+    codomain = domain
+    if kind == "any":
+        codomain = FgGroup(draw(st.integers(0, 3)), draw(torsion_chains(0, 5)))
+    return Hom(domain, codomain, _random_matrix(draw, domain, codomain))
+
+
 class _H2Only:
     """Stand-in total space: coset_partition reads nothing but H^2."""
 
@@ -105,6 +177,20 @@ def test_section_matrix_rejects_a_non_surjection():
         section_matrix(h)
 
 
+@settings(max_examples=300, deadline=None)
+@given(homs())
+def test_is_isomorphism_and_hom_inverse_match_kernel_and_cokernel(h):
+    want = kernel(h)[0].is_zero() and cokernel(h)[0].is_zero()
+    assert is_isomorphism(h) == want
+    if want:
+        inv = hom_inverse(h)
+        assert inv.compose(h) == Hom.identity(h.domain)
+        assert h.compose(inv) == Hom.identity(h.codomain)
+    else:
+        with pytest.raises(HomError):
+            hom_inverse(h)
+
+
 @pytest.fixture
 def snf_calls(monkeypatch):
     calls = [0]
@@ -136,8 +222,19 @@ def test_coset_partition_snf_calls_do_not_scale_with_cosets(snf_calls):
     assert counts[0] == counts[1]
 
 
-@pytest.mark.parametrize("base,flux,budget", [("T2", "3*vol.z", 62),
-                                              ("RP7", "a.z", 119)])
+@pytest.mark.parametrize("base,flux,budget", [("T2", "3*vol.z", 55),
+                                              ("RP7", "a.z", 107)])
 def test_dualize_snf_call_budget(snf_calls, base, flux, budget):
     run_job({"mode": "dualize", "base": base, "euler": "0", "flux": flux})
     assert 0 < snf_calls[0] <= budget
+
+
+def test_dualize_with_b_class_snf_call_budget(snf_calls):
+    run_job({"mode": "dualize", "base": "S2", "euler": "0",
+             "flux": "6*vol.z", "b": "p*(vol)"})
+    assert 0 < snf_calls[0] <= 58
+
+
+def test_r32_tables_snf_call_budget(snf_calls):
+    run_job({"mode": "classifying-tables", "space": "R32"})
+    assert 0 < snf_calls[0] <= 50

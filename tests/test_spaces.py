@@ -5,9 +5,10 @@ from tdual.spaces import (
     CatalogSpace,
     UnknownSpaceError,
     cohomology_of,
-    kunneth_with_circle,
     parse_space,
 )
+
+from .oracles import kunneth_with_circle
 
 Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))
