@@ -129,18 +129,17 @@ class IntMatrix:
 
 
 def _snf_with_inverses(m: IntMatrix):
-    """Smith normal form with all four change-of-basis matrices.
+    """Smith normal form with the change-of-basis matrices callers read.
 
-    Returns (u, uinv, d, v, vinv) with u*m*v = d; u, v unimodular and
-    uinv, vinv their exact inverses.  d is diagonal, nonnegative, and its
-    diagonal forms a divisibility chain (zeros trailing).
+    Returns (u, uinv, d, v) with u*m*v = d; u, v unimodular and uinv the
+    exact inverse of u.  d is diagonal, nonnegative, and its diagonal
+    forms a divisibility chain (zeros trailing).
     """
     rows, cols = m.shape
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    vinv = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
 
     def row_sub(i, j, q):  # R_i -= q * R_j
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
@@ -153,7 +152,6 @@ def _snf_with_inverses(m: IntMatrix):
             a[r][j] -= q * a[r][i]
         for r in range(cols):
             v[r][j] -= q * v[r][i]
-        vinv[i] = [x + q * y for x, y in zip(vinv[i], vinv[j])]
 
     def row_swap(i, j):
         if i == j:
@@ -170,7 +168,6 @@ def _snf_with_inverses(m: IntMatrix):
             a[r][i], a[r][j] = a[r][j], a[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def row_negate(i):
         a[i] = [-x for x in a[i]]
@@ -232,7 +229,7 @@ def _snf_with_inverses(m: IntMatrix):
         return IntMatrix(r, c, tuple(tuple(row) for row in data))
 
     return (fin(u, rows, rows), fin(uinv, rows, rows), fin(a, rows, cols),
-            fin(v, cols, cols), fin(vinv, cols, cols))
+            fin(v, cols, cols))
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -246,7 +243,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     >>> d.diagonal()
     [2, 4]
     """
-    u, _, d, v, _ = _snf_with_inverses(m)
+    u, _, d, v = _snf_with_inverses(m)
     return u, d, v
 
 
@@ -258,12 +255,17 @@ def solve_matrix(m: IntMatrix, y: Sequence[int]) -> Optional[tuple]:
     """
     if len(y) != m.rows:
         raise ValueError("right-hand side has wrong length")
-    u, _, d, v, _ = _snf_with_inverses(m)
-    return _back_substitute(d, v, u.vec(y))
+    u, _, d, v = _snf_with_inverses(m)
+    z = _back_substitute(d, u.vec(y))
+    return None if z is None else v.vec(z)
 
 
-def _back_substitute(d: IntMatrix, v: IntMatrix, uy: Sequence[int]) -> Optional[tuple]:
-    """x = v z with d z = uy, free parameters zero; None if unsolvable."""
+def _back_substitute(d: IntMatrix, uy: Sequence[int]) -> Optional[list]:
+    """z with d z = uy, free parameters zero; None if unsolvable.
+
+    With u*m*v = d, m x = y has the solutions x = v z, so the u and d of
+    one Smith form answer every right-hand side y of the same m.
+    """
     diag = d.diagonal()
     z = [0] * d.cols
     for i in range(d.rows):
@@ -275,14 +277,7 @@ def _back_substitute(d: IntMatrix, v: IntMatrix, uy: Sequence[int]) -> Optional[
             if uy[i] % di != 0:
                 return None
             z[i] = uy[i] // di
-    return v.vec(z)
-
-
-def kernel_lattice(m: IntMatrix) -> IntMatrix:
-    """Basis of the integer kernel lattice of m, as matrix columns."""
-    _, _, d, v, _ = _snf_with_inverses(m)
-    rank = sum(1 for x in d.diagonal() if x != 0)
-    return IntMatrix.from_columns(v.columns()[rank:], m.cols)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +524,7 @@ def cokernel_presentation(n: int, relations: IntMatrix):
     """
     if relations.rows != n:
         raise ValueError("relations live in the wrong ambient rank")
-    u, uinv, d, _, _ = _snf_with_inverses(relations)
+    u, uinv, d, _ = _snf_with_inverses(relations)
     diag = d.diagonal()
     free_idx = [i for i in range(n) if (diag[i] if i < len(diag) else 0) == 0]
     tors_idx = [i for i in range(n) if i < len(diag) and diag[i] >= 2]
@@ -547,37 +542,22 @@ def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
     where reps is an (n x ngens) matrix of ambient representatives of the
     canonical generators.
     """
-    u, uinv, d, _, _ = _snf_with_inverses(gens)
+    u, uinv, d, _ = _snf_with_inverses(gens)
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     # coordinates of the relations in the lattice basis b_i = d_i * uinv[:, i]
     rel_coords = []
     for col in rels.columns():
-        uy = u.vec(col)
-        coords = []
-        for i in range(rank):
-            if uy[i] % diag[i] != 0:
-                raise ValueError("relations do not lie in the generator lattice")
-            coords.append(uy[i] // diag[i])
-        for i in range(rank, n):
-            if uy[i] != 0:
-                raise ValueError("relations do not lie in the generator lattice")
-        rel_coords.append(coords)
+        z = _back_substitute(d, u.vec(col))
+        if z is None:
+            raise ValueError("relations do not lie in the generator lattice")
+        rel_coords.append(z[:rank])
     rel_in_basis = IntMatrix.from_columns(rel_coords, rank)
     group, _, sect = cokernel_presentation(rank, rel_in_basis)
     basis = [tuple(diag[i] * x for x in uinv.column(i)) for i in range(rank)]
     basis_matrix = IntMatrix.from_columns(basis, n)
     reps = basis_matrix @ sect
     return group, reps
-
-
-def lattice_contains(lattice: IntMatrix, vector: Sequence[int]) -> bool:
-    return solve_matrix(lattice, vector) is not None
-
-
-def lattices_equal(a: IntMatrix, b: IntMatrix) -> bool:
-    return (all(lattice_contains(a, col) for col in b.columns())
-            and all(lattice_contains(b, col) for col in a.columns()))
 
 
 # ---------------------------------------------------------------------------
@@ -596,8 +576,9 @@ def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     """Lattice {x in Z^n_dom : h(x) = 0 in the codomain}, as columns."""
     na = h.domain.ngens
     stacked = h.matrix.hstack(h.codomain.relations())
-    ker = kernel_lattice(stacked)
-    cols = [col[:na] for col in ker.columns()]
+    _, _, d, v = _snf_with_inverses(stacked)
+    rank = sum(1 for x in d.diagonal() if x != 0)
+    cols = [col[:na] for col in v.columns()[rank:]]
     cols.extend(h.domain.relations().columns())  # always in the kernel
     return IntMatrix.from_columns(cols, na)
 
@@ -619,12 +600,18 @@ def image(h: Hom) -> tuple[FgGroup, Hom]:
 
 
 def is_exact_at(f: Hom, g: Hom) -> bool:
-    """True iff im(f) = ker(g) inside the middle group."""
+    """True iff im(f) = ker(g) inside the middle group.
+
+    im(f) lies in ker(g) iff g f = 0.  For the converse, one Smith form of
+    the image lattice [f | relations] tests every kernel lattice column.
+    """
     if f.codomain != g.domain:
         raise HomError("chain does not compose: codomain(f) != domain(g)")
-    im_lattice = f.matrix.hstack(f.codomain.relations())
-    ker_lattice = _preimage_of_zero_lattice(g)
-    return lattices_equal(im_lattice, ker_lattice)
+    if not g.compose(f).is_zero_map():
+        return False
+    u, _, d, _ = _snf_with_inverses(f.matrix.hstack(f.codomain.relations()))
+    return all(_back_substitute(d, u.vec(col)) is not None
+               for col in _preimage_of_zero_lattice(g).columns())
 
 
 def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
@@ -651,18 +638,14 @@ def section_matrix(h: Hom) -> IntMatrix:
     if nb == 0:
         return IntMatrix.zeros(na, 0)
     stacked = h.matrix.hstack(h.codomain.relations())
-    u, _, d, v, _ = _snf_with_inverses(stacked)
+    u, _, d, v = _snf_with_inverses(stacked)
     cols = []
     for uy in u.columns():
-        sol = _back_substitute(d, v, uy)
-        if sol is None:
+        z = _back_substitute(d, uy)
+        if z is None:
             raise HomError("not surjective: a codomain generator has no preimage")
-        cols.append(h.domain.reduce_coords(sol[:na]))
+        cols.append(h.domain.reduce_coords(v.vec(z)[:na]))
     return IntMatrix.from_columns(cols, na)
-
-
-def is_injective(h: Hom) -> bool:
-    return kernel(h)[0].is_zero()
 
 
 def is_surjective(h: Hom) -> bool:
@@ -709,21 +692,18 @@ def direct_sum(summands: Sequence[FgGroup]):
     inclusions = []
     projections = []
     for g, off in zip(summands, offsets):
-        emb = IntMatrix.from_columns(
-            [[1 if r == off + j else 0 for r in range(n)] for j in range(g.ngens)], n)
-        inclusions.append(Hom(g, group, proj @ emb))
-        block = IntMatrix.from_rows([sect.entries[off + i] for i in range(g.ngens)],
-                                    group.ngens)
-        projections.append(Hom(group, g, block))
+        # summand g owns columns off.. of proj and rows off.. of sect
+        cols = IntMatrix.from_rows([row[off:off + g.ngens] for row in proj.entries],
+                                   g.ngens)
+        inclusions.append(Hom(g, group, cols))
+        rows = IntMatrix.from_rows(sect.entries[off:off + g.ngens], group.ngens)
+        projections.append(Hom(group, g, rows))
     return group, inclusions, projections
 
 
 def quotient_by(ambient: FgGroup,
                 elements: Sequence[GroupElement]) -> tuple[FgGroup, Hom]:
     """ambient / <elements>, with the canonical projection."""
-    n = ambient.ngens
-    cols = [list(x.coords) for x in elements]
-    rels = IntMatrix.from_columns(cols, n).hstack(ambient.relations())
-    group, proj, _ = cokernel_presentation(n, rels)
-    return group, Hom(ambient, group, proj)
+    cols = IntMatrix.from_columns([x.coords for x in elements], ambient.ngens)
+    return cokernel(Hom(FgGroup(len(elements)), ambient, cols))
 

@@ -52,22 +52,22 @@ def parse_class(spec, group, names, field: str) -> GroupElement:
     """Parse a class from coordinates or a named-generator expression."""
     if spec is None:
         return group.zero_element()
-    if isinstance(spec, (list, tuple)):
-        coords = list(spec)
-        if len(coords) != group.ngens:
-            raise JobError(
-                f"{field}: expected {group.ngens} coordinates, got {len(coords)}")
-        return group.element(coords)
-    text = str(spec).strip()
-    if text in ("", "0"):
-        return group.zero_element()
-    if all(part.strip().lstrip("+-").isdigit()
-           for part in text.split(",")) and "*" not in text:
-        coords = [int(part) for part in text.split(",")]
-        if len(coords) != group.ngens:
-            raise JobError(
-                f"{field}: expected {group.ngens} coordinates, got {len(coords)}")
-        return group.element(coords)
+    if not isinstance(spec, (list, tuple)):
+        text = str(spec).strip()
+        if text in ("", "0"):
+            return group.zero_element()
+        if "*" in text or not all(part.strip().lstrip("+-").isdigit()
+                                  for part in text.split(",")):
+            return _parse_expression(text, group, names, field)
+        spec = [int(part) for part in text.split(",")]
+    if len(spec) != group.ngens:
+        raise JobError(
+            f"{field}: expected {group.ngens} coordinates, got {len(spec)}")
+    return group.element(spec)
+
+
+def _parse_expression(text: str, group, names, field: str) -> GroupElement:
+    """A sum of optionally scaled generator names, such as '2*u + v - t'."""
     coords = [0] * group.ngens
     for term in text.replace("-", "+-").split("+"):
         term = term.strip()

@@ -28,6 +28,7 @@ from .abelian import (
     FgGroup,
     GroupElement,
     Hom,
+    IntMatrix,
     ZERO_GROUP,
     cokernel,
     is_exact_at,
@@ -59,6 +60,7 @@ class GysinDegree:
     names: tuple
     coker: FgGroup            # H^k(W) / e-multiples, the p* image
     coker_proj: Hom           # H^k(W) -> coker
+    coker_sect: IntMatrix     # section_matrix(coker_proj), coker -> H^k(W)
     ker: FgGroup              # e-killed part of H^(k-1)(W), the p! image
     ker_incl: Hom             # ker -> H^(k-1)(W)
     into_coker: Hom           # coker -> group
@@ -89,16 +91,14 @@ class TotalSpaceCohomology:
             self.degrees.append(self._build_degree(k, trivial))
 
     def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
-        base, e = self.base, self.euler
-        cup_in = base.cup_by(e, k - 2) if k >= 2 else Hom.zero(
-            ZERO_GROUP, base.group(k))
-        cup_out = base.cup_by(e, k - 1) if k >= 1 else Hom.zero(
-            ZERO_GROUP, base.group(k + 1))
+        base = self.base
+        cup_in, cup_out = _cups_around(base, self.euler, k)
         ck, coker_proj = cokernel(cup_in)
         kk, ker_incl = kernel(cup_out)
+        coker_sect = section_matrix(coker_proj)
 
         cnames = inherited_names(
-            section_matrix(coker_proj).columns(), base.group(k), base.names[k],
+            coker_sect.columns(), base.group(k), base.names[k],
             lambda s: f"p*({s})", lambda j: f"p*[{k}.{j}]")
         knames = inherited_names(
             ker_incl.matrix.columns(), base.group(k - 1),
@@ -113,7 +113,7 @@ class TotalSpaceCohomology:
         ambiguous = (not trivial) and (not kk.is_free()) and (not ck.is_zero())
         return GysinDegree(
             group=group, names=names,
-            coker=ck, coker_proj=coker_proj,
+            coker=ck, coker_proj=coker_proj, coker_sect=coker_sect,
             ker=kk, ker_incl=ker_incl,
             into_coker=into_coker, into_ker=into_ker,
             onto_coker=onto_coker, onto_ker=onto_ker,
@@ -154,6 +154,15 @@ class TotalSpaceCohomology:
         return [k for k in range(self.top + 1) if self.degrees[k].ambiguous]
 
 
+def _cups_around(base: GradedCohomology, e: GroupElement, k: int):
+    """(cup e into H^k(W), cup e out of H^(k-1)(W)), zero maps below degree 0."""
+    cup_in = base.cup_by(e, k - 2) if k >= 2 else Hom.zero(
+        ZERO_GROUP, base.group(k))
+    cup_out = base.cup_by(e, k - 1) if k >= 1 else Hom.zero(
+        ZERO_GROUP, base.group(k + 1))
+    return cup_in, cup_out
+
+
 def total_space_cohomology(bundle: CircleBundle,
                            max_degree: Optional[int] = None) -> TotalSpaceCohomology:
     """Solve the bundle's cohomology in degrees 0..max_degree.
@@ -173,12 +182,8 @@ def exactness_audit(tsc: TotalSpaceCohomology) -> bool:
     kernel of p!), and at H^(k-1)(W) (image of p! equals kernel of cup-e).
     Raises GysinError naming the first failure.
     """
-    base, e = tsc.base, tsc.euler
     for k in range(tsc.top + 1):
-        cup_in = base.cup_by(e, k - 2) if k >= 2 else Hom.zero(
-            ZERO_GROUP, base.group(k))
-        cup_out = base.cup_by(e, k - 1) if k >= 1 else Hom.zero(
-            ZERO_GROUP, base.group(k + 1))
+        cup_in, cup_out = _cups_around(tsc.base, tsc.euler, k)
         if not is_exact_at(cup_in, tsc.pullback(k)):
             raise GysinError(f"not exact at H^{k}(base)")
         if not is_exact_at(tsc.pullback(k), tsc.pushforward(k)):

@@ -27,6 +27,7 @@ from .abelian import (
     FgGroup,
     GroupElement,
     Hom,
+    HomError,
     hom_inverse,
     image,
     is_isomorphism,
@@ -133,7 +134,9 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
     if not base.cup_by(e_dual, 2)(e_src).is_zero():
         raise ExactnessBugError("source Euler class is not killed by cup e#")
     d3 = t.total.degrees[3]
-    beta = solve_hom(d3.coker_proj, d3.onto_coker(t.flux))
+    # the canonical solve_hom preimage, read off the stored cokernel section
+    pulled = d3.onto_coker(t.flux).coords
+    beta = d3.coker_proj.domain.element(d3.coker_sect.vec(pulled))
     dd3 = dual_total.degrees[3]
     x = solve_hom(dd3.ker_incl, e_src)
     if x is None:
@@ -190,8 +193,12 @@ def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
                 @ t.total.pullback(2).matrix @ sect)
     q_bar = Hom(qw, target_coset.quotient, target_coset.projection.matrix
                 @ dual_total.pullback(2).matrix @ sect)
-    if is_isomorphism(p_bar) and is_isomorphism(q_bar):
-        return q_bar.compose(hom_inverse(p_bar)), True
+    try:
+        p_inv = hom_inverse(p_bar)  # HomError: p_bar is not an isomorphism
+        if is_isomorphism(q_bar):
+            return q_bar.compose(p_inv), True
+    except HomError:
+        pass
     if source_coset.quotient == target_coset.quotient:
         iso = Hom.identity(source_coset.quotient)
         return Hom(source_coset.quotient, target_coset.quotient, iso.matrix), False

@@ -5,9 +5,10 @@ reduction algorithms.  Invariant factors come from determinantal divisors
 (gcds of k x k minors), determinants from fraction-free elimination, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
-The last two sections use package code: the per-element solving path
-(one Smith form per element) that batched code must match, and the
-circle Kunneth product built from the package's direct sums.
+The last three sections use package code: the per-element solving path
+(one Smith form per element or lattice column) that batched code must
+match, and the circle Kunneth product built from the package's direct
+sums.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ from __future__ import annotations
 from itertools import combinations, product
 from math import gcd, prod
 
-from tdual.abelian import ZERO_GROUP, Hom, solve_hom
+from tdual.abelian import (
+    ZERO_GROUP,
+    Hom,
+    _preimage_of_zero_lattice,
+    kernel,
+    solve_hom,
+    solve_matrix,
+)
 from tdual.spaces import GradedCohomology, sum_named
 
 
@@ -230,6 +238,29 @@ def per_element_preimages(h, elements):
         assert x is not None, f"{y.coords} has no preimage"
         out.append(x)
     return out
+
+
+# ---------------------------------------------------------------------------
+# injectivity and exactness, one Smith form per lattice column
+# ---------------------------------------------------------------------------
+
+def is_injective(h):
+    return kernel(h)[0].is_zero()
+
+
+def lattice_contains(lattice, vector):
+    return solve_matrix(lattice, vector) is not None
+
+
+def lattices_equal(a, b):
+    return (all(lattice_contains(a, col) for col in b.columns())
+            and all(lattice_contains(b, col) for col in a.columns()))
+
+
+def exact_per_column(f, g):
+    """im(f) = ker(g) as lattices of the middle group, column by column."""
+    im_lattice = f.matrix.hstack(f.codomain.relations())
+    return lattices_equal(im_lattice, _preimage_of_zero_lattice(g))
 
 
 # ---------------------------------------------------------------------------

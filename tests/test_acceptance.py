@@ -24,7 +24,6 @@ from tdual.abelian import (
     cokernel,
     image,
     is_exact_at,
-    is_injective,
     kernel,
     quotient_by,
     smith_normal_form,
@@ -106,7 +105,7 @@ def extension_realizable(whole, sub, quot, bound=4):
             h = Hom(sub, whole, IntMatrix.from_columns(cols, whole.ngens))
         except HomError:
             continue
-        if not is_injective(h):
+        if not oracles.is_injective(h):
             continue
         q, _ = quotient_by(whole, [whole.element(c) for c in cols])
         if q == quot:

@@ -35,6 +35,18 @@ def test_parse_class_forms():
         parse_class("2*w", g, names, "x")
 
 
+def test_parse_class_list_and_comma_string_agree():
+    g = FgGroup(2, (3,))
+    names = ("u", "v", "t")
+    assert parse_class([2, 0, 1], g, names, "x") == parse_class("2,0,1", g, names, "x")
+    messages = []
+    for spec in ([1, 2], "1,2"):
+        with pytest.raises(JobError) as err:
+            parse_class(spec, g, names, "x")
+        messages.append(str(err.value))
+    assert messages == ["x: expected 3 coordinates, got 2"] * 2
+
+
 def test_dualize_job_torus():
     doc = run_job({"mode": "dualize", "base": "T2", "euler": "0",
                    "flux": "3*vol.z"})
