@@ -13,7 +13,9 @@ of named generators with integer coefficients ("2*vol.z + 1*p*(vol)"):
 run the `cohomology` mode to list the generator names of any space.
 
 Exit codes: 0 success, 2 validation error, 3 a conjecture-only result was
-requested under --strict.
+requested under --strict, 4 an internal invariant failed (HomError,
+GysinError, ExactnessBugError or SelfTestError: a defect of the engine,
+not of the input).
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ import json
 import sys
 
 from . import classifying, fixtures, report
-from .abelian import GroupElement
-from .gysin import CircleBundle, total_space_cohomology
+from .abelian import GroupElement, HomError
+from .gysin import CircleBundle, GysinError, total_space_cohomology
 from .spaces import UnknownSpaceError, cohomology_of, parse_space
 from .tduality import (
     BNotLiftableError,
+    ExactnessBugError,
     FLAG_B_NOT_LIFTABLE,
     FLAG_CONJECTURE,
     Triple,
@@ -38,6 +41,11 @@ from .tduality import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_STRICT_CONJECTURE = 3
+EXIT_INTERNAL = 4
+
+# Failed invariants of the engine; any other ValueError is bad input.
+INTERNAL_ERRORS = (HomError, GysinError, ExactnessBugError,
+                   classifying.SelfTestError)
 
 
 class JobError(ValueError):
@@ -371,7 +379,10 @@ def main(argv=None, out=None) -> int:
             docs = [run_job(dict(job)) for job in jobs]
         else:
             docs = [run_job(_spec_from_args(args))]
-    except (JobError, ValueError) as exc:
+    except INTERNAL_ERRORS as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
+    except ValueError as exc:  # JobError, UnknownSpaceError, ...
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VALIDATION
     return _finish(docs, args, out)

@@ -16,12 +16,15 @@ determine the extension.  A zero Euler class gives the product bundle,
 where the split form is exact by the Kunneth theorem, so it is never
 flagged.
 
-All maps are fixed as explicit matrices at construction time.
+All maps are fixed as explicit matrices at construction time, and a
+solved total space is immutable, so `total_space_cohomology` shares one
+per bundle and top degree within a process (see there).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .abelian import (
@@ -85,10 +88,9 @@ class TotalSpaceCohomology:
         self.base = base
         self.euler = bundle.euler
         self.top = top
-        self.degrees: list[GysinDegree] = []
         trivial = self.euler.is_zero()
-        for k in range(top + 1):
-            self.degrees.append(self._build_degree(k, trivial))
+        self.degrees: tuple[GysinDegree, ...] = tuple(
+            self._build_degree(k, trivial) for k in range(top + 1))
 
     def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
         base = self.base
@@ -163,15 +165,33 @@ def _cups_around(base: GradedCohomology, e: GroupElement, k: int):
     return cup_in, cup_out
 
 
+# Solved total spaces kept by total_space_cohomology.  A batch reuses a
+# bundle within a few jobs (a dualize job builds E and E# over one base),
+# so a short LRU catches nearly every repeat while memory stays flat.
+SOLVED_CACHE_SIZE = 16
+
+_solved = lru_cache(maxsize=SOLVED_CACHE_SIZE)(TotalSpaceCohomology)
+
+
 def total_space_cohomology(bundle: CircleBundle,
                            max_degree: Optional[int] = None) -> TotalSpaceCohomology:
     """Solve the bundle's cohomology in degrees 0..max_degree.
 
     The default top degree is base.max_degree - 1, the highest degree the
     sequence determines from the available base data.
+
+    Bundles compare by value, so within one process each distinct (base,
+    Euler class, top degree) is solved once and the result is shared; the
+    SOLVED_CACHE_SIZE most recently used are kept.  A build that raises
+    is not kept.  `total_space_cohomology.cache_clear()` and
+    `.cache_info()` reach the cache, for cold measurements.
     """
     top = bundle.base.max_degree - 1 if max_degree is None else max_degree
-    return TotalSpaceCohomology(bundle, top)
+    return _solved(bundle, top)
+
+
+total_space_cohomology.cache_clear = _solved.cache_clear
+total_space_cohomology.cache_info = _solved.cache_info
 
 
 def exactness_audit(tsc: TotalSpaceCohomology) -> bool:

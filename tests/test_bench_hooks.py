@@ -3,12 +3,18 @@
 bench/tracing.py lists them in LAYERS as (owner, attribute) pairs, wraps
 IntMatrix.__post_init__ besides, and measures the matrices the Smith form
 returns; a renamed target would only show as a crash of a traced
-benchmark run, so it is checked here.
+benchmark run, so it is checked here.  The tracer also relies on every
+module calling the one shared total_space_cohomology, and on each
+degree being built by TotalSpaceCohomology._build_degree, so that
+gysin.build_degree counts real builds and not cache hits.
 """
 
+import sys
 from pathlib import Path
 
+from tdual import classifying, cli, gysin, tduality
 from tdual.abelian import IntMatrix
+from tdual.spaces import cohomology_of, parse_space
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -27,3 +33,38 @@ def test_every_traced_target_exists(monkeypatch):
     out = getattr(owner, attr)(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert all(isinstance(m, IntMatrix) for m in out)
     assert tracing._max_bits(out) > 0
+
+
+def test_every_module_binds_the_shared_total_space_cohomology():
+    holders = {name for name, mod in sys.modules.items()
+               if (name == "tdual" or name.startswith("tdual."))
+               and hasattr(mod, "total_space_cohomology")}
+    assert {"tdual", cli.__name__, tduality.__name__,
+            classifying.__name__} <= holders
+    for name in holders:
+        assert sys.modules[name].total_space_cohomology \
+            is gysin.total_space_cohomology, name
+
+
+def test_build_degree_is_the_only_per_degree_builder(monkeypatch):
+    built, made = [], []
+    build, degree = gysin.TotalSpaceCohomology._build_degree, gysin.GysinDegree
+
+    def counted_build(self, k, trivial):
+        built.append(k)
+        return build(self, k, trivial)
+
+    def counted_degree(**fields):
+        made.append(fields["group"])
+        return degree(**fields)
+
+    monkeypatch.setattr(gysin.TotalSpaceCohomology, "_build_degree",
+                        counted_build)
+    monkeypatch.setattr(gysin, "GysinDegree", counted_degree)
+    base = cohomology_of(parse_space("RP6"), 6)
+    bundle = gysin.CircleBundle(base, base.group(2).generator(0))
+    gysin.total_space_cohomology.cache_clear()
+    tsc = gysin.total_space_cohomology(bundle)
+    assert built == list(range(tsc.top + 1)) and len(made) == len(built)
+    assert gysin.total_space_cohomology(bundle) is tsc
+    assert len(built) == len(made) == tsc.top + 1

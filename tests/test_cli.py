@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from tdual import cli
 from tdual.cli import (
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_STRICT_CONJECTURE,
     EXIT_VALIDATION,
@@ -12,7 +14,11 @@ from tdual.cli import (
     parse_class,
     run_job,
 )
-from tdual.abelian import FgGroup
+from tdual.abelian import FgGroup, HomError
+from tdual.classifying import SelfTestError
+from tdual.gysin import GysinError
+from tdual.spaces import UnknownSpaceError
+from tdual.tduality import ExactnessBugError
 from tdual.report import emit_json
 
 
@@ -117,6 +123,37 @@ def test_cli_b_not_liftable_exit_code():
 def test_cli_validation_error_exit_code(tmp_path):
     code, _ = run_cli(["cohomology", "--base", "nowhere"])
     assert code == EXIT_VALIDATION
+
+
+DUALIZE_T2 = ["dualize", "--base", "T2", "--euler", "0", "--flux", "3*vol.z"]
+
+
+def _raising(exc):
+    def fail(*args, **kwargs):
+        raise exc
+    return fail
+
+
+# The patches replace names cli itself calls: total spaces are shared
+# within a process, so a fault planted deeper in gysin would be skipped
+# for a bundle an earlier test already solved.
+@pytest.mark.parametrize("error", [HomError, GysinError, ExactnessBugError,
+                                   SelfTestError])
+def test_internal_errors_exit_4_with_one_line(monkeypatch, capsys, error):
+    monkeypatch.setattr(cli, "dualize", _raising(error("check that failed")))
+    code, out = run_cli(DUALIZE_T2)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert capsys.readouterr().err == (
+        f"internal error: {error.__name__}: check that failed\n")
+
+
+@pytest.mark.parametrize("error", [JobError, UnknownSpaceError, ValueError])
+def test_input_errors_keep_exit_2(monkeypatch, capsys, error):
+    monkeypatch.setattr(cli, "dualize", _raising(error("bad input")))
+    code, _ = run_cli(DUALIZE_T2)
+    assert code == EXIT_VALIDATION
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_jobfile_batch_order(tmp_path):

@@ -32,7 +32,12 @@ from tdual.abelian import (
     solve_hom,
 )
 from tdual.cli import run_job
-from tdual.gysin import CircleBundle, exactness_audit, total_space_cohomology
+from tdual.gysin import (
+    CircleBundle,
+    TotalSpaceCohomology,
+    exactness_audit,
+    total_space_cohomology,
+)
 from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import coset_partition
 
@@ -275,6 +280,10 @@ def test_gysin_degree_keeps_the_cokernel_section():
 
 @pytest.fixture
 def snf_calls(monkeypatch):
+    """SNF calls from here on, counted for a cold job: solved total spaces
+    are shared within a process, so the budgets would otherwise depend on
+    which earlier test solved the same bundle."""
+    total_space_cohomology.cache_clear()
     calls = [0]
     original = abelian._snf_with_inverses
 
@@ -315,6 +324,29 @@ def test_dualize_with_b_class_snf_call_budget(snf_calls):
     run_job({"mode": "dualize", "base": "S2", "euler": "0",
              "flux": "6*vol.z", "b": "p*(vol)"})
     assert 0 < snf_calls[0] <= 56
+
+
+def test_warm_dualize_job_builds_no_degree(snf_calls, monkeypatch):
+    built = [0]
+    original = TotalSpaceCohomology._build_degree
+
+    def counted(self, k, trivial):
+        built[0] += 1
+        return original(self, k, trivial)
+
+    monkeypatch.setattr(TotalSpaceCohomology, "_build_degree", counted)
+    job = {"mode": "dualize", "base": "S2", "euler": "2",
+           "flux": "3*vol.z", "b": "p*(vol)"}
+    runs = []
+    for _ in range(2):
+        before = (snf_calls[0], built[0])
+        doc = run_job(dict(job))
+        runs.append((snf_calls[0] - before[0], built[0] - before[1], doc))
+    (cold_snf, cold_built, cold_doc), (warm_snf, warm_built, warm_doc) = runs
+    assert "error" not in cold_doc
+    assert cold_built > 0 and warm_built == 0
+    assert warm_snf < cold_snf
+    assert warm_doc == cold_doc
 
 
 @pytest.mark.parametrize("base,euler", [("Sigma8", 2), ("T2", 3)])
