@@ -18,9 +18,8 @@ which keeps maps into and out of the zero group honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from math import gcd
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 
 # ---------------------------------------------------------------------------
@@ -344,13 +343,6 @@ class FgGroup:
     def generators(self) -> list["GroupElement"]:
         return [self.generator(i) for i in range(self.ngens)]
 
-    def elements(self) -> Iterator["GroupElement"]:
-        """All elements; only valid for finite groups."""
-        if self.free_rank:
-            raise ValueError("cannot enumerate an infinite group")
-        for coords in _iter_product(*[range(d) for d in self.torsion]):
-            yield self.element(coords)
-
     def relations(self) -> IntMatrix:
         """Relation columns d_i * e_i in Z^ngens for the torsion generators."""
         n = self.ngens
@@ -472,18 +464,6 @@ class Hom:
     @classmethod
     def identity(cls, group: FgGroup) -> "Hom":
         return cls(group, group, IntMatrix.identity(group.ngens))
-
-    @classmethod
-    def from_images(cls, domain: FgGroup, codomain: FgGroup,
-                    images: Sequence[GroupElement]) -> "Hom":
-        if len(images) != domain.ngens:
-            raise HomError("one image per domain generator required")
-        for x in images:
-            if x.group != codomain:
-                raise HomError("image lies in the wrong group")
-        return cls(domain, codomain,
-                   IntMatrix.from_columns([x.coords for x in images],
-                                          codomain.ngens))
 
     def apply(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:

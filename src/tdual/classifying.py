@@ -314,10 +314,6 @@ class T32Action:
     def matrix(self, degree: int) -> IntMatrix:
         return self.on_r32[degree]
 
-    def squared(self, degree: int) -> IntMatrix:
-        m = self.on_r32[degree]
-        return m @ m
-
 
 def t32_cohomology_action() -> T32Action:
     return T32Action(on_r32=dict(fixtures.T32_ON_R32),

@@ -12,10 +12,10 @@ documented generator order of the relevant degree ("2,0,1"), or as sums
 of named generators with integer coefficients ("2*vol.z + 1*p*(vol)"):
 run the `cohomology` mode to list the generator names of any space.
 
-Exit codes: 0 success, 2 validation error, 3 a conjecture-only result was
-requested under --strict, 4 an internal invariant failed (HomError,
-GysinError, ExactnessBugError or SelfTestError: a defect of the engine,
-not of the input).
+Exit codes: 0 success, 2 validation error (of a job or the job file), 3 a
+conjecture-only result was requested under --strict, 4 an internal
+invariant failed (HomError, GysinError, ExactnessBugError or
+SelfTestError: a defect of the engine, not of the input).
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _coset_json(c) -> dict:
         "coset": list(c.coset.coords),
     }
     if c.representatives is not None:
-        out["coset_representatives"] = [list(r.coords) for r in c.representatives]
+        out["coset_representatives"] = [list(r) for r in c.representatives]
     return out
 
 
@@ -371,11 +371,16 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
-            with open(args.jobfile) as fh:
-                batch = json.load(fh)
+            try:
+                with open(args.jobfile) as fh:
+                    batch = json.load(fh)
+            except (OSError, ValueError) as exc:  # unreadable, or not JSON
+                raise JobError(f"jobfile: {exc}") from None
             jobs = batch.get("jobs") if isinstance(batch, dict) else batch
-            if not isinstance(jobs, list):
-                raise JobError("jobfile: expected {'jobs': [...]} or a list")
+            if not (isinstance(jobs, list)
+                    and all(isinstance(job, dict) for job in jobs)):
+                raise JobError("jobfile: expected {'jobs': [...]} or a list, "
+                               "each job an object")
             docs = [run_job(dict(job)) for job in jobs]
         else:
             docs = [run_job(_spec_from_args(args))]

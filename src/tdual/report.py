@@ -10,6 +10,7 @@ trips are stable.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 from .abelian import FgGroup, Hom, IntMatrix
 
@@ -19,10 +20,6 @@ SCHEMA_VERSION = 1
 def group_json(g: FgGroup) -> dict:
     return {"rank": g.free_rank, "torsion": list(g.torsion),
             "display": g.describe()}
-
-
-def group_from_json(d: dict) -> FgGroup:
-    return FgGroup(d["rank"], tuple(d["torsion"]))
 
 
 def matrix_json(m: IntMatrix) -> dict:
@@ -52,7 +49,27 @@ def total_space_json(tsc) -> dict:
 
 
 def emit_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a
+    newline, with each list of plain ints joined at once; str keys only."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, nl: str) -> str:
+    """value as json.dumps writes it, nested at the indent that ends nl."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)            # other scalars, {} and []
+    inner = nl + "  "
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(k) + ": " + _json(value[k], inner)
+                 for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if all(type(x) is int for x in value):  # not bool, which prints true
+        items = map(str, value)
+    else:
+        items = [_json(x, inner) for x in value]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def _inline(value) -> bool:

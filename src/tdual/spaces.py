@@ -66,9 +66,6 @@ class GradedCohomology:
     def named_element(self, k: int, name: str) -> GroupElement:
         return self.group(k).generator(self.generator_index(k, name))
 
-    def has_ring_data(self) -> bool:
-        return self.cup_gens is not None
-
     def cup_by(self, e: GroupElement, k: int) -> Hom:
         """The map (cup with e): H^k -> H^(k+2), for e in H^2."""
         if e.group != self.group(2):
@@ -93,9 +90,6 @@ class GradedCohomology:
                     f"no cup data for H^2 generator {self.names[2][i]!r}")
             total = total.add(m.scale(coeff))
         return Hom(src, dst, total)
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * g.free_rank for k, g in enumerate(self.groups))
 
 
 def _zero_cup_table(groups, max_degree):

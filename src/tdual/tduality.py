@@ -97,7 +97,7 @@ class CosetData:
     quotient: FgGroup
     projection: Hom
     coset: GroupElement                 # class of the representative
-    representatives: Optional[tuple]    # one lift per coset when small
+    representatives: Optional[tuple]    # one lift per coset, reduced coords
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,8 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
     """The partition of H^2(E) into cosets of <gen>.
 
     When the quotient is small enough it is enumerated: the result lists
-    one canonical lift per coset.  Otherwise only the quotient form and
-    the projection are returned.
+    one canonical lift per coset as a reduced coordinate tuple.  Otherwise
+    only the quotient form and the projection are returned.
     """
     h2 = tsc.group(2)
     if gen.group != h2:
@@ -162,8 +162,12 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
     quotient, proj = quotient_by(h2, [gen])
     reps = None
     if quotient.is_finite() and quotient.order() <= ENUMERATION_CAP:
-        sect = section_matrix(proj)
-        reps = tuple(h2.element(sect.vec(q.coords)) for q in quotient.elements())
+        # the lifts sum_i q_i s_i, q in itertools.product order
+        lifts = [(0,) * h2.ngens]
+        for col, d in zip(section_matrix(proj).columns(), quotient.torsion):
+            lifts = [tuple(a + k * c for a, c in zip(x, col))
+                     for x in lifts for k in range(d)]
+        reps = tuple(map(h2.reduce_coords, lifts))
     return CosetData(
         subgroup_generator=gen,
         representative=representative,

@@ -230,6 +230,13 @@ def all_group_moduli_up_to(max_order):
 # per-element preimages (one solve_hom, hence one Smith form, per element)
 # ---------------------------------------------------------------------------
 
+def group_elements(group):
+    """Every element of a finite FgGroup, in itertools.product order."""
+    if group.free_rank:
+        raise ValueError("cannot enumerate an infinite group")
+    return [group.element(c) for c in product(*[range(d) for d in group.torsion])]
+
+
 def per_element_preimages(h, elements):
     """solve_hom(h, y) for each y, failing loudly on an element off the image."""
     out = []
@@ -296,7 +303,7 @@ def kunneth_with_circle(w: GradedCohomology) -> GradedCohomology:
         projs_z.append(projs[1])
 
     cup_table = None
-    if w.has_ring_data() and D >= 2:
+    if w.cup_gens is not None and D >= 2:
         n2 = groups[2].ngens
         table = []
         for i in range(n2):

@@ -240,7 +240,8 @@ def test_quotient_and_subgroup():
     q, proj = quotient_by(g, [x])
     assert q == FgGroup(2, (2,))
     assert proj(x).is_zero()
-    sub, incl = image(Hom.from_images(FgGroup(1), g, [x]))
+    cols = IntMatrix.from_columns([x.coords], g.ngens)
+    sub, incl = image(Hom(FgGroup(1), g, cols))
     assert sub == FgGroup(1)
     assert incl(sub.generator(0)) in (x, -x)
 

@@ -6,13 +6,15 @@ returns; a renamed target would only show as a crash of a traced
 benchmark run, so it is checked here.  The tracer also relies on every
 module calling the one shared total_space_cohomology, and on each
 degree being built by TotalSpaceCohomology._build_degree, so that
-gysin.build_degree counts real builds and not cache hits.
+gysin.build_degree counts real builds and not cache hits.  It counts
+enumerated cosets as len(coset_partition(...).representatives) and
+report bytes as len(report.emit_json(doc)).
 """
 
 import sys
 from pathlib import Path
 
-from tdual import classifying, cli, gysin, tduality
+from tdual import classifying, cli, gysin, report, tduality
 from tdual.abelian import IntMatrix
 from tdual.spaces import cohomology_of, parse_space
 
@@ -68,3 +70,15 @@ def test_build_degree_is_the_only_per_degree_builder(monkeypatch):
     assert built == list(range(tsc.top + 1)) and len(made) == len(built)
     assert gysin.total_space_cohomology(bundle) is tsc
     assert len(built) == len(made) == tsc.top + 1
+
+
+def test_counted_values_keep_their_types():
+    base = cohomology_of(parse_space("S2"), 4)
+    tsc = gysin.total_space_cohomology(
+        gysin.CircleBundle(base, base.group(2).zero_element()), 3)
+    part = tduality.coset_partition(
+        tsc, tsc.named_element(2, "p*(vol)").scale(300))
+    assert len(part.representatives) == part.quotient.order() == 300
+    doc = cli.run_job({"mode": "coset-partition", "base": "S2",
+                       "euler": "0", "gen": "300*p*(vol)"})
+    assert isinstance(report.emit_json(doc), str)

