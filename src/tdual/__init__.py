@@ -33,7 +33,6 @@ from .classifying import (
     t32_cohomology_action,
     unbased_classes_over_sphere,
     universal_bundle_tables,
-    z_group_cohomology,
 )
 from .gysin import (
     CircleBundle,
@@ -69,7 +68,7 @@ __all__ = [
     "exactness_audit",
     "Triple", "DualityReport", "make_triple", "dualize", "dual_euler",
     "dual_flux", "coset_partition", "verify_coset_isomorphism",
-    "ZAction", "MappingTorusData", "z_group_cohomology",
+    "ZAction", "MappingTorusData",
     "mapping_torus_cohomology", "homotopy_tables",
     "universal_bundle_tables", "t32_cohomology_action",
     "unbased_classes_over_sphere",

@@ -83,7 +83,7 @@ class IntMatrix:
     def columns(self) -> list[tuple]:
         return [self.column(j) for j in range(self.cols)]
 
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
+    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} times {other.shape}")
         ent = tuple(
@@ -93,9 +93,6 @@ class IntMatrix:
             for i in range(self.rows)
         )
         return IntMatrix(self.rows, other.cols, ent)
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        return self.mul(other)
 
     def vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
@@ -381,14 +378,6 @@ class GroupElement:
     def __post_init__(self):
         object.__setattr__(self, "coords", self.group.reduce_coords(self.coords))
 
-    @property
-    def free_coords(self) -> tuple:
-        return self.coords[: self.group.free_rank]
-
-    @property
-    def torsion_coords(self) -> tuple:
-        return self.coords[self.group.free_rank:]
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
@@ -413,10 +402,11 @@ def _lcm(a: int, b: int) -> int:
 
 def element_order(x: GroupElement) -> int:
     """Least n >= 1 with n*x = 0; 0 encodes infinite order."""
-    if any(c != 0 for c in x.free_coords):
+    r = x.group.free_rank
+    if any(c != 0 for c in x.coords[:r]):
         return 0
     n = 1
-    for c, d in zip(x.torsion_coords, x.group.torsion):
+    for c, d in zip(x.coords[r:], x.group.torsion):
         if c != 0:
             n = _lcm(n, d // gcd(c, d))
     return n
@@ -465,13 +455,10 @@ class Hom:
     def identity(cls, group: FgGroup) -> "Hom":
         return cls(group, group, IntMatrix.identity(group.ngens))
 
-    def apply(self, x: GroupElement) -> GroupElement:
+    def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:
             raise HomError("element not in the domain")
         return self.codomain.element(self.matrix.vec(x.coords))
-
-    def __call__(self, x: GroupElement) -> GroupElement:
-        return self.apply(x)
 
     def compose(self, inner: "Hom") -> "Hom":
         """self after inner."""

@@ -7,18 +7,22 @@ rows and collapses, so every degree sits in
     0 -> coinvariants(H^(n-1) cover) -> H^n -> invariants(H^n cover) -> 0
 
 with invariants = ker(theta - 1) and coinvariants = coker(theta - 1).
-The sequence splits whenever the invariant part is free; coinvariant
-classes pick up the circle class of the torus direction in their names.
+This is the two-row shape of the Gysin sequence, so each degree is built
+by gysin.split_degree with f = theta - 1 in degree n-1 and g = theta - 1
+in degree n.  The sequence splits whenever the invariant part is free;
+coinvariant classes pick up the circle class of the torus direction in
+their names.
 
 The canonical bundle tables are produced by running the Gysin engine
 over the pinned R32 cohomology and are cross-checked against the pinned
-bundle tables; a mismatch is a fatal self-test failure.
+bundle tables: the engine's generator names are translated into the
+reference names, and the groups, names, p! and p* must all agree.  A
+mismatch is a fatal self-test failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import fixtures
 from .abelian import (
@@ -27,13 +31,15 @@ from .abelian import (
     Hom,
     IntMatrix,
     ZERO_GROUP,
-    cokernel,
     is_isomorphism,
-    kernel,
-    section_matrix,
 )
-from .gysin import CircleBundle, TotalSpaceCohomology, total_space_cohomology
-from .spaces import GradedCohomology, inherited_names, sum_named, unit_index
+from .gysin import (
+    CircleBundle,
+    TotalSpaceCohomology,
+    split_degree,
+    total_space_cohomology,
+)
+from .spaces import GradedCohomology
 
 
 class SelfTestError(RuntimeError):
@@ -72,18 +78,6 @@ class ZAction:
         return Hom(self.group, self.group, self.automorphism.matrix.add(minus))
 
 
-def z_group_cohomology(action: ZAction):
-    """Invariants and coinvariants of the action.
-
-    Returns ((h0, incl), (h1, proj)): h0 = ker(theta - 1) with its
-    embedding, h1 = coker(theta - 1) with its projection.
-    """
-    shift = action.shift()
-    h0, incl = kernel(shift)
-    h1, proj = cokernel(shift)
-    return (h0, incl), (h1, proj)
-
-
 # ---------------------------------------------------------------------------
 # mapping torus assembly
 # ---------------------------------------------------------------------------
@@ -115,43 +109,35 @@ class MappingTorusCohomology:
 def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
     """Assemble H^* of the mapping torus from the deck actions.
 
-    Degree n is the (split) extension of the degree-n invariants by the
-    degree-(n-1) coinvariants; a nonzero coinvariant part under torsion
-    invariants leaves the extension undetermined and flags the degree.
+    Degree n is the split_degree of the degree-(n-1) coinvariants and the
+    degree-n invariants, from the one shift theta - 1 of each cover
+    degree; a nonzero coinvariant part under torsion invariants leaves
+    the extension undetermined and flags the degree.
     """
     cover = data.cover
-    groups = []
-    names = []
-    flagged = []
     circle = data.circle_class
+    shifts = [Hom.zero(ZERO_GROUP, ZERO_GROUP)] + [
+        data.action(n).shift() for n in range(cover.max_degree + 1)]
+    names = ((),) + cover.names
+    degrees = []
     for n in range(cover.max_degree + 1):
-        (h0, incl), _ = z_group_cohomology(data.action(n))
-        if n >= 1:
-            _, (h1, proj) = z_group_cohomology(data.action(n - 1))
-            h1_names = inherited_names(
-                section_matrix(proj).columns(), cover.group(n - 1),
-                cover.names[n - 1],
-                lambda s: circle if s == "1" else f"{s}{circle}",
-                lambda j: f"{circle}[{n}.{j}]")
-        else:
-            h1, h1_names = ZERO_GROUP, ()
-        h0_names = inherited_names(incl.matrix.columns(), cover.group(n),
-                                   cover.names[n], lambda s: s,
-                                   lambda j: f"inv[{n}.{j}]")
-        total, ns, _, _ = sum_named([(h1, h1_names), (h0, h0_names)])
-        if not h0.is_free() and not h1.is_zero():
-            flagged.append(n)
-        groups.append(total)
-        names.append(ns)
+        degrees.append(split_degree(
+            shifts[n], shifts[n + 1], names[n], names[n + 1],
+            (lambda s: circle if s == "1" else f"{s}{circle}",
+             lambda j: f"{circle}[{n}.{j}]"),
+            (lambda s: s, lambda j: f"inv[{n}.{j}]"),
+            split=False))
     table = GradedCohomology(
         label=f"torus({cover.label})",
         max_degree=cover.max_degree,
-        groups=tuple(groups),
-        names=tuple(names),
+        groups=tuple(d.group for d in degrees),
+        names=tuple(d.names for d in degrees),
         cup_gens=None,
         simply_connected=False,
     )
-    return MappingTorusCohomology(table=table, ambiguous=tuple(flagged))
+    return MappingTorusCohomology(
+        table=table,
+        ambiguous=tuple(n for n, d in enumerate(degrees) if d.ambiguous))
 
 
 def r2_mapping_torus_data() -> MappingTorusData:
@@ -223,59 +209,34 @@ class BundleTable:
 
 
 def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull, base):
-    """Match engine generators to reference names; verify p! and p*."""
-    names = []
+    """Check the groups, the names, p! and p* against the reference.
+
+    The engine's names translate into the reference's: p*(s) to the name
+    that ref_pull maps to s, s.z to the one that ref_push maps to s, and
+    p*(1) to 1.  Each degree must give ref_names in the engine's order.
+    """
+    engine = {f"p*({s})": name for name, s in ref_pull.items()}
+    engine.update({f"{s}.z": name for name, s in ref_push.items() if s})
+    engine["p*(1)"] = "1"
     for k, (g, ref) in enumerate(zip(ref_groups, ref_names)):
         if tsc.group(k) != g:
             raise SelfTestError(
                 f"degree {k}: computed {tsc.group(k).describe()}, "
                 f"reference {g.describe()}")
-        degree_names = [None] * g.ngens
-        used = set()
-        for name in ref:
-            idx = None
-            if name in ref_pull:
-                # generator pulled back from the base
-                pre = base.named_element(k, ref_pull[name])
-                idx = unit_index(tsc.pullback(k)(pre).coords, g)
-                if idx in used:
-                    idx = None
-            if idx is None:
-                # a generator characterized by its pushforward, or the unit
-                for i in range(g.ngens):
-                    if i in used:
-                        continue
-                    push = tsc.pushforward(k)(tsc.group(k).generator(i))
-                    want = ref_push.get(name)
-                    if want is None:
-                        if push.is_zero() and degree_names[i] is None:
-                            idx = i
-                            break
-                    else:
-                        target = base.named_element(k - 1, want)
-                        if push in (target, -target):
-                            idx = i
-                            break
-            if idx is None:
-                raise SelfTestError(f"cannot locate generator {name!r} "
-                                    f"in degree {k}")
-            used.add(idx)
-            degree_names[idx] = name
-        names.append(tuple(degree_names))
-    # pushforward images must match the reference exactly
-    table = BundleTable(tsc, tuple(names))
-    for k in range(len(ref_groups)):
-        for name in ref_names[k]:
+        got = tuple(engine.get(n) for n in tsc.names(k))
+        if got != tuple(ref):
+            raise SelfTestError(f"degree {k}: {tsc.names(k)} translate to "
+                                f"{got}, reference {tuple(ref)}")
+        for x, name in zip(g.generators(), ref):
             want = ref_push.get(name)
-            got = tsc.pushforward(k)(table.named_element(k, name))
-            if want is None:
-                if k >= 1 and not got.is_zero():
-                    raise SelfTestError(f"p!({name}) should vanish")
-            else:
-                target = base.named_element(k - 1, want)
-                if got not in (target, -target):
-                    raise SelfTestError(f"p!({name}) != {want}")
-    return table
+            target = (base.group(k - 1).zero_element() if want is None
+                      else base.named_element(k - 1, want))
+            if tsc.pushforward(k)(x) not in (target, -target):
+                raise SelfTestError(f"p!({name}) != {want or 0}")
+            if name in ref_pull and tsc.pullback(k)(
+                    base.named_element(k, ref_pull[name])) not in (x, -x):
+                raise SelfTestError(f"p*({ref_pull[name]}) != {name}")
+    return BundleTable(tsc, tuple(tuple(ref) for ref in ref_names))
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ Job modes:
   coset-partition    partition of H^2(total space) into cosets
   classifying-tables pinned and computed classifying-space tables
 
-Classes are entered either as comma-separated integer coordinates in the
-documented generator order of the relevant degree ("2,0,1"), or as sums
-of named generators with integer coefficients ("2*vol.z + 1*p*(vol)"):
-run the `cohomology` mode to list the generator names of any space.
+Classes are entered either as integer coordinates in the documented
+generator order of the relevant degree (a list of ints, or the string
+"2,0,1"), or as sums of named generators with integer coefficients
+("2*vol.z + 1*p*(vol)"): run the `cohomology` mode to list the generator
+names of any space.  A coordinate or max_degree that is not an int (a
+float, a bool, a list) is a validation error.
 
 Exit codes: 0 success, 2 validation error (of a job or the job file), 3 a
 conjecture-only result was requested under --strict, 4 an internal
@@ -68,6 +70,8 @@ def parse_class(spec, group, names, field: str) -> GroupElement:
                                   for part in text.split(",")):
             return _parse_expression(text, group, names, field)
         spec = [int(part) for part in text.split(",")]
+    if not all(type(c) is int for c in spec):
+        raise JobError(f"{field}: coordinates must be integers, got {spec!r}")
     if len(spec) != group.ngens:
         raise JobError(
             f"{field}: expected {group.ngens} coordinates, got {len(spec)}")
@@ -104,13 +108,10 @@ def _resolve_base(spec):
     name = spec.get("base")
     if not name:
         raise JobError("base: required")
-    if isinstance(name, dict):
-        name = name.get("name", "")
     try:
-        space = parse_space(str(name))
+        return parse_space(str(name))
     except UnknownSpaceError as exc:
         raise JobError(f"base: {exc}") from None
-    return space
 
 
 def _default_top(space) -> int:
@@ -123,7 +124,10 @@ def _default_top(space) -> int:
 def _build_total(spec):
     space = _resolve_base(spec)
     top = spec.get("max_degree")
-    top = _default_top(space) if top is None else int(top)
+    if top is None:
+        top = _default_top(space)
+    elif type(top) is not int:
+        raise JobError(f"max_degree: expected an integer, got {top!r}")
     if top < 0 or top > 11:
         raise JobError("max_degree: out of range")
     base = cohomology_of(space, top + 1)

@@ -8,13 +8,15 @@ of the bundle:
       -> ker(cup e: H^(k-1)W -> H^(k+1)W) -> 0
 
 with the pullback p* landing on the left part and the pushforward p!
-(integration over the fiber) projecting onto the right part.  The
-sequence is split whenever the kernel term is free, and forced whenever
-either side vanishes; the remaining torsion-kernel cases are reported in
-split form with an ambiguity flag, since the sequence alone does not
-determine the extension.  A zero Euler class gives the product bundle,
-where the split form is exact by the Kunneth theorem, so it is never
-flagged.
+(integration over the fiber) projecting onto the right part.
+`split_degree` assembles such a degree from its two maps; the Wang
+sequence of a mapping torus (classifying.py) has the same shape and
+uses it too.  The sequence is split whenever the kernel term is free,
+and forced whenever either side vanishes; the remaining torsion-kernel
+cases are reported in split form with an ambiguity flag, since the
+sequence alone does not determine the extension.  A zero Euler class
+gives the product bundle, where the split form is exact by the Kunneth
+theorem, so it is never flagged.
 
 All maps are fixed as explicit matrices at construction time, and a
 solved total space is immutable, so `total_space_cohomology` shares one
@@ -57,22 +59,48 @@ class CircleBundle:
 
 @dataclass(frozen=True)
 class GysinDegree:
-    """Degree-k slice of the total-space cohomology with its split data."""
+    """One degree of 0 -> coker(f) -> group -> ker(g) -> 0 in split form,
+    with its maps to and from the two rows (see split_degree)."""
 
     group: FgGroup
     names: tuple
-    coker: FgGroup            # H^k(W) / e-multiples, the p* image
-    coker_proj: Hom           # H^k(W) -> coker
-    coker_sect: IntMatrix     # section_matrix(coker_proj), coker -> H^k(W)
-    ker: FgGroup              # e-killed part of H^(k-1)(W), the p! image
-    ker_incl: Hom             # ker -> H^(k-1)(W)
-    into_coker: Hom           # coker -> group
-    into_ker: Hom             # ker -> group
-    onto_coker: Hom           # group -> coker
-    onto_ker: Hom             # group -> ker
-    pullback: Hom             # H^k(W) -> group
-    pushforward: Hom          # group -> H^(k-1)(W)
+    coker_proj: Hom           # f.codomain -> coker(f), e.g. H^k(W) -> p* image
+    coker_sect: IntMatrix     # section_matrix(coker_proj), its section
+    ker_incl: Hom             # ker(g) -> g.domain, e.g. p! image -> H^(k-1)(W)
+    into_ker: Hom             # ker(g) -> group
+    onto_coker: Hom           # group -> coker(f)
+    onto_ker: Hom             # group -> ker(g)
+    pullback: Hom             # f.codomain -> group, p* for a bundle
+    pushforward: Hom          # group -> g.domain, p! for a bundle
     ambiguous: bool
+
+
+def split_degree(f: Hom, g: Hom, f_names, g_names, coker_label, ker_label,
+                 split: bool) -> GysinDegree:
+    """One degree of a two-row sequence, coker(f) + ker(g) in split form.
+
+    f_names name f.codomain's generators, g_names g.domain's; coker_label
+    and ker_label are each side's (inherit, synthetic) pair for
+    inherited_names.  Torsion in ker(g) under a nonzero coker(f) leaves
+    the extension undetermined: the degree is ambiguous unless `split`.
+    """
+    ck, coker_proj = cokernel(f)
+    kk, ker_incl = kernel(g)
+    coker_sect = section_matrix(coker_proj)
+    cnames = inherited_names(coker_sect.columns(), f.codomain, f_names,
+                             *coker_label)
+    knames = inherited_names(ker_incl.matrix.columns(), g.domain, g_names,
+                             *ker_label)
+    group, names, (into_coker, into_ker), (onto_coker, onto_ker) = sum_named(
+        [(ck, cnames), (kk, knames)])
+    return GysinDegree(
+        group=group, names=names,
+        coker_proj=coker_proj, coker_sect=coker_sect, ker_incl=ker_incl,
+        into_ker=into_ker, onto_coker=onto_coker, onto_ker=onto_ker,
+        pullback=into_coker.compose(coker_proj),
+        pushforward=ker_incl.compose(onto_ker),
+        ambiguous=not (split or kk.is_free() or ck.is_zero()),
+    )
 
 
 class TotalSpaceCohomology:
@@ -95,33 +123,12 @@ class TotalSpaceCohomology:
     def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
         base = self.base
         cup_in, cup_out = _cups_around(base, self.euler, k)
-        ck, coker_proj = cokernel(cup_in)
-        kk, ker_incl = kernel(cup_out)
-        coker_sect = section_matrix(coker_proj)
-
-        cnames = inherited_names(
-            coker_sect.columns(), base.group(k), base.names[k],
-            lambda s: f"p*({s})", lambda j: f"p*[{k}.{j}]")
-        knames = inherited_names(
-            ker_incl.matrix.columns(), base.group(k - 1),
+        return split_degree(
+            cup_in, cup_out, base.names[k],
             base.names[k - 1] if k >= 1 else (),
-            lambda s: f"{s}.z", lambda j: f"z[{k}.{j}]")
-
-        group, names, incls, projs = sum_named([(ck, cnames), (kk, knames)])
-        into_coker, into_ker = incls
-        onto_coker, onto_ker = projs
-        pullback = into_coker.compose(coker_proj)
-        pushforward = ker_incl.compose(onto_ker)
-        ambiguous = (not trivial) and (not kk.is_free()) and (not ck.is_zero())
-        return GysinDegree(
-            group=group, names=names,
-            coker=ck, coker_proj=coker_proj, coker_sect=coker_sect,
-            ker=kk, ker_incl=ker_incl,
-            into_coker=into_coker, into_ker=into_ker,
-            onto_coker=onto_coker, onto_ker=onto_ker,
-            pullback=pullback, pushforward=pushforward,
-            ambiguous=ambiguous,
-        )
+            (lambda s: f"p*({s})", lambda j: f"p*[{k}.{j}]"),
+            (lambda s: f"{s}.z", lambda j: f"z[{k}.{j}]"),
+            split=trivial)
 
     # -- accessors ---------------------------------------------------------
 
@@ -132,9 +139,6 @@ class TotalSpaceCohomology:
 
     def names(self, k: int) -> tuple:
         return self.degrees[k].names if 0 <= k <= self.top else ()
-
-    def element(self, k: int, coords) -> GroupElement:
-        return self.group(k).element(coords)
 
     def named_element(self, k: int, name: str) -> GroupElement:
         return self.group(k).generator(self.names(k).index(name))
@@ -158,11 +162,7 @@ class TotalSpaceCohomology:
 
 def _cups_around(base: GradedCohomology, e: GroupElement, k: int):
     """(cup e into H^k(W), cup e out of H^(k-1)(W)), zero maps below degree 0."""
-    cup_in = base.cup_by(e, k - 2) if k >= 2 else Hom.zero(
-        ZERO_GROUP, base.group(k))
-    cup_out = base.cup_by(e, k - 1) if k >= 1 else Hom.zero(
-        ZERO_GROUP, base.group(k + 1))
-    return cup_in, cup_out
+    return base.cup_by(e, k - 2), base.cup_by(e, k - 1)
 
 
 # Solved total spaces kept by total_space_cohomology.  A batch reuses a

@@ -1,14 +1,14 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Apart from the last two sections, nothing in here uses the package's
+Apart from the last four sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
 (gcds of k x k minors), determinants from fraction-free elimination, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
-The last three sections use package code: the per-element solving path
+The last four sections use package code: the per-element solving path
 (one Smith form per element or lattice column) that batched code must
-match, and the circle Kunneth product built from the package's direct
-sums.
+match, the invariants and coinvariants of a deck action, and the circle
+Kunneth product built from the package's direct sums.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from tdual.abelian import (
     ZERO_GROUP,
     Hom,
     _preimage_of_zero_lattice,
+    cokernel,
     kernel,
     solve_hom,
     solve_matrix,
@@ -268,6 +269,22 @@ def exact_per_column(f, g):
     """im(f) = ker(g) as lattices of the middle group, column by column."""
     im_lattice = f.matrix.hstack(f.codomain.relations())
     return lattices_equal(im_lattice, _preimage_of_zero_lattice(g))
+
+
+# ---------------------------------------------------------------------------
+# cohomology of an infinite cyclic group action (uses package code)
+# ---------------------------------------------------------------------------
+
+def z_group_cohomology(action):
+    """Invariants and coinvariants of a classifying.ZAction.
+
+    Returns ((h0, incl), (h1, proj)): h0 = ker(theta - 1) with its
+    embedding, h1 = coker(theta - 1) with its projection.
+    """
+    shift = action.shift()
+    h0, incl = kernel(shift)
+    h1, proj = cokernel(shift)
+    return (h0, incl), (h1, proj)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .oracles import determinant
 
 def snf_ok(m: IntMatrix):
     u, d, v = smith_normal_form(m)
-    assert u.mul(m).mul(v).entries == d.entries
+    assert (u @ m @ v).entries == d.entries
     assert abs(determinant(u)) == 1
     assert abs(determinant(v)) == 1
     diag = d.diagonal()

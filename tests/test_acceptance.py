@@ -129,12 +129,13 @@ def check_table(tsc, printed, label):
                 f"{want.describe()}"
             continue
         d = tsc.degrees[k]
+        coker, ker = d.coker_proj.codomain, d.ker_incl.domain
         from tdual.abelian import direct_sum
-        split, _, _ = direct_sum([d.coker, d.ker])
+        split, _, _ = direct_sum([coker, ker])
         assert got == split, f"{label} degree {k}: split guess mismatch"
-        assert extension_realizable(want, d.coker, d.ker), \
+        assert extension_realizable(want, coker, ker), \
             f"{label} degree {k}: printed {want.describe()} is not an " \
-            f"extension of {d.ker.describe()} by {d.coker.describe()}"
+            f"extension of {ker.describe()} by {coker.describe()}"
     return flagged
 
 
@@ -335,7 +336,7 @@ def test_criterion_6a_snf_over_1000_random_matrices():
             [[rng.randrange(-9, 10) for _ in range(cols)]
              for _ in range(rows)], cols)
         u, d, v = smith_normal_form(m)
-        assert u.mul(m).mul(v).entries == d.entries
+        assert (u @ m @ v).entries == d.entries
         assert abs(determinant(u)) == 1
         assert abs(determinant(v)) == 1
         diag = d.diagonal()

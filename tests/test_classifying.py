@@ -6,7 +6,6 @@ from tdual import fixtures
 from tdual.abelian import FgGroup, IntMatrix, ZERO_GROUP
 from tdual.classifying import (
     MappingTorusData,
-    z_group_cohomology,
     ZAction,
     homotopy_tables,
     mapping_torus_cohomology,
@@ -16,6 +15,8 @@ from tdual.classifying import (
     unbased_classes_over_sphere,
     universal_bundle_tables,
 )
+from tdual.gysin import CircleBundle, total_space_cohomology
+
 from . import oracles
 
 Z = FgGroup(1)
@@ -30,7 +31,7 @@ def test_zaction_requires_invertibility():
 def test_z_group_cohomology_shear():
     g = FgGroup(2)
     act = ZAction.from_matrix(g, fixtures.R2_PI2_ACTION)
-    (h0, incl), (h1, proj) = z_group_cohomology(act)
+    (h0, incl), (h1, proj) = oracles.z_group_cohomology(act)
     assert h0 == Z and h1 == Z
     assert act.shift().compose(incl).is_zero_map()
     assert proj.compose(act.shift()).is_zero_map()
@@ -39,7 +40,7 @@ def test_z_group_cohomology_shear():
 def test_z_group_cohomology_identity():
     for k in (1, 2, 4):
         g = FgGroup(k)
-        (h0, _), (h1, _) = z_group_cohomology(ZAction.trivial(g))
+        (h0, _), (h1, _) = oracles.z_group_cohomology(ZAction.trivial(g))
         assert h0 == g and h1 == g
 
 
@@ -51,7 +52,7 @@ def test_z_group_cohomology_degree4_action():
                   for i in range(5)]
     assert oracles.invariant_factors_oracle(shift_rows) == [1, 2, 0, 0, 0]
     g = FgGroup(5)
-    (h0, _), (h1, _) = z_group_cohomology(ZAction.from_matrix(g, phi))
+    (h0, _), (h1, _) = oracles.z_group_cohomology(ZAction.from_matrix(g, phi))
     assert h0 == FgGroup(3)
     assert h1 == FgGroup(3, (2,))
     assert h0.free_rank == h1.free_rank
@@ -70,7 +71,7 @@ def test_invariant_coinvariant_ranks_agree():
                 for c in range(n):
                     m[i][c] += q * m[j][c]
         act = ZAction.from_matrix(FgGroup(n), IntMatrix.from_rows(m, n))
-        (h0, _), (h1, _) = z_group_cohomology(act)
+        (h0, _), (h1, _) = oracles.z_group_cohomology(act)
         assert h0.free_rank == h1.free_rank
 
 
@@ -96,6 +97,13 @@ def test_trivial_action_gives_product_rule():
     for n in range(cover.max_degree + 1):
         want_rank = cover.group(n).free_rank + cover.group(n - 1).free_rank
         assert out.table.group(n).free_rank == want_rank
+    # the zero-Euler-class bundle over the cover is the same F x S^1: the
+    # Wang and the Gysin sequence must agree through the bundle's top degree
+    product = total_space_cohomology(
+        CircleBundle(cover, cover.group(2).zero_element()), 3)
+    for k in range(product.top + 1):
+        assert out.table.group(k) == product.group(k), k
+    assert out.ambiguous == () and product.ambiguous_degrees() == []
 
 
 def test_r32_table_computed():
@@ -155,6 +163,37 @@ def test_self_test_rejects_wrong_reference_values():
         _relabel_and_check(tsc, bad_groups, fixtures.E32_NAMES,
                            fixtures.E32_PUSHFORWARD,
                            fixtures.E32_PULLBACK_PREIMAGE, r32)
+
+
+@pytest.mark.parametrize("change,message", [
+    # a wrong pushforward target: no engine name a2.z translates, or the
+    # pulled class y would have to push forward to 1
+    ({"ref_push": {**fixtures.E32_PUSHFORWARD, "h": "a1"}}, "a2.z"),
+    ({"ref_push": {**fixtures.E32_PUSHFORWARD, "y": "1"}}, r"p!\(y\) != 1"),
+    # a wrong pullback preimage: no engine name p*(a2) translates, or b
+    # would have to be pulled back from the Euler class a1
+    ({"ref_pull": {**fixtures.E32_PULLBACK_PREIMAGE, "p*(a2)": "a1"}},
+     r"p\*\(a2\)"),
+    ({"ref_pull": {**fixtures.E32_PULLBACK_PREIMAGE, "b": "a1"}},
+     r"p\*\(a1\) != b"),
+    # two reference names swapped within degree 2
+    ({"ref_names": fixtures.E32_NAMES[:2] + (("b", "p*(a2)"),)
+      + fixtures.E32_NAMES[3:]}, "degree 2"),
+    # a reference name that no engine name translates to
+    ({"ref_names": fixtures.E32_NAMES[:3] + (("p*(a2l)", "g"),)}, "degree 3"),
+], ids=["push-untranslated", "push-of-pulled", "pull-untranslated",
+        "pull-from-euler", "swapped", "unknown-name"])
+def test_self_test_rejects_wrong_reference_maps_and_names(change, message):
+    from tdual.classifying import SelfTestError, _relabel_and_check
+
+    r32 = fixtures.r32_cohomology()
+    tsc = total_space_cohomology(
+        CircleBundle(r32, r32.named_element(2, "a1")), 3)
+    ref = {"ref_groups": fixtures.E32_GROUPS, "ref_names": fixtures.E32_NAMES,
+           "ref_push": fixtures.E32_PUSHFORWARD,
+           "ref_pull": fixtures.E32_PULLBACK_PREIMAGE, **change}
+    with pytest.raises(SelfTestError, match=message):
+        _relabel_and_check(tsc, base=r32, **ref)
 
 
 def test_universal_bundle_tables_pass_self_test():

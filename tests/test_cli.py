@@ -177,6 +177,28 @@ def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
     assert err.startswith("error: jobfile: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field, job", [
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": [1.5]}),
+    ("euler", {"mode": "cohomology", "base": "S2", "euler": [True]}),
+    ("max_degree", {"mode": "cohomology", "base": "S2", "max_degree": 3.7}),
+    ("max_degree", {"mode": "cohomology", "base": "S2", "max_degree": [3]}),
+    ("gen", {"mode": "coset-partition", "base": "S2", "euler": "0",
+             "gen": [[1]]}),
+])
+def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps({"jobs": [job]}))
+    code, out = run_cli(["run", str(path)])
+    assert code == EXIT_VALIDATION and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+
+
+def test_base_must_be_a_name():
+    with pytest.raises(JobError, match="^base: "):
+        run_job({"mode": "cohomology", "base": {"name": "S2"}})
+
+
 def test_jobfile_batch_order(tmp_path):
     jobs = {"schema_version": 1, "jobs": [
         {"mode": "cohomology", "base": "S2", "euler": "2"},
