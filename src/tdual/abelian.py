@@ -124,6 +124,15 @@ class IntMatrix:
         return [self.entries[i][i] for i in range(min(self.rows, self.cols))]
 
 
+# Greedy pivoting is the fastest elimination on the small sparse systems
+# the engine builds, but on dense ones its transforms can grow to
+# hundreds of thousands of bits.  A step R_i -= q * R_j lengthens entries
+# by at most q.bit_length() + 1 bits; once the greedy steps could have
+# grown them by this many bits, the factorization starts over with
+# Hermite reduction, which keeps every entry near the size of the input.
+_GREEDY_GROWTH_BITS = 1024
+
+
 def _snf_with_inverses(m: IntMatrix):
     """Smith normal form with the change-of-basis matrices callers read.
 
@@ -131,19 +140,30 @@ def _snf_with_inverses(m: IntMatrix):
     exact inverse of u.  d is diagonal, nonnegative, and its diagonal
     forms a divisibility chain (zeros trailing).
     """
+    return _smith(m, greedy=True)
+
+
+def _smith(m: IntMatrix, greedy: bool):
+    """Greedy pivoting, or alternating row and column Hermite forms
+    (Kannan and Bachem) followed by gcd/lcm steps on the diagonal."""
     rows, cols = m.shape
     a = [list(row) for row in m.entries]
     u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
     v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    grown = 0
 
     def row_sub(i, j, q):  # R_i -= q * R_j
+        nonlocal grown
+        grown += q.bit_length() + 1
         a[i] = [x - q * y for x, y in zip(a[i], a[j])]
         u[i] = [x - q * y for x, y in zip(u[i], u[j])]
         for r in range(rows):  # uinv: C_j += q * C_i
             uinv[r][j] += q * uinv[r][i]
 
     def col_sub(j, i, q):  # C_j -= q * C_i
+        nonlocal grown
+        grown += q.bit_length() + 1
         for r in range(rows):
             a[r][j] -= q * a[r][i]
         for r in range(cols):
@@ -171,8 +191,42 @@ def _snf_with_inverses(m: IntMatrix):
         for r in range(rows):
             uinv[r][i] = -uinv[r][i]
 
+    def col_negate(j):
+        for r in range(rows):
+            a[r][j] = -a[r][j]
+        for r in range(cols):
+            v[r][j] = -v[r][j]
+
+    def hermite(n, width, at, sub, swap, negate):
+        """Echelon form of the n lines (rows, or columns) of a: positive
+        pivots, nearest-integer elimination below each pivot and the
+        entries above it reduced modulo it."""
+        r = 0
+        for c in range(width):
+            if r == n:
+                return
+            while True:
+                nz = [i for i in range(r, n) if at(i, c)]
+                if not nz:
+                    break
+                swap(r, min(nz, key=lambda i: abs(at(i, c))))
+                if len(nz) == 1:
+                    break
+                p = at(r, c)
+                for i in range(r + 1, n):
+                    if at(i, c):
+                        sub(i, r, (2 * at(i, c) + p) // (2 * p))
+            if not at(r, c):
+                continue
+            if at(r, c) < 0:
+                negate(r)
+            for i in range(r):
+                if at(i, c) // at(r, c):
+                    sub(i, r, at(i, c) // at(r, c))
+            r += 1
+
     t = 0
-    while t < min(rows, cols):
+    while greedy and t < min(rows, cols):
         pivot = None
         for i in range(t, rows):
             for j in range(t, cols):
@@ -184,6 +238,8 @@ def _snf_with_inverses(m: IntMatrix):
         row_swap(t, pivot[0])
         col_swap(t, pivot[1])
         while True:
+            if grown > _GREEDY_GROWTH_BITS:
+                return _smith(m, greedy=False)
             moved = False
             for i in range(rows):
                 if i != t and a[i][t] != 0:
@@ -216,6 +272,25 @@ def _snf_with_inverses(m: IntMatrix):
                 break
             row_sub(t, offender, -1)  # R_t += R_offender, then keep reducing
         t += 1
+
+    lines = 0  # row and column passes, at least one, until a is diagonal
+    while not greedy and (lines == 0 or any(
+            a[i][j] for i in range(rows) for j in range(cols) if i != j)):
+        if lines % 2 == 0:
+            hermite(rows, cols, lambda i, c: a[i][c], row_sub, row_swap, row_negate)
+        else:
+            hermite(cols, rows, lambda j, r: a[r][j], col_sub, col_swap, col_negate)
+        lines += 1
+    # a diagonal echelon form keeps its zeros last; make it a chain
+    rank = 0 if greedy else sum(1 for i in range(min(rows, cols)) if a[i][i])
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            if a[j][j] % a[i][i]:
+                row_sub(i, j, -1)  # row i reads (d_i, d_j): gcd by columns
+                while a[i][j]:
+                    col_sub(i, j, a[i][i] // a[i][j])
+                    col_swap(i, j)
+                row_sub(j, i, a[j][i] // a[i][i])  # leaves lcm at (j, j)
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
