@@ -18,7 +18,8 @@ which keeps maps into and out of the zero group honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
+from operator import add, mul
 from typing import Optional, Sequence
 
 
@@ -26,49 +27,65 @@ from typing import Optional, Sequence
 # integer matrices
 # ---------------------------------------------------------------------------
 
+def _check_dims(*dims: int) -> None:
+    if any(type(n) is not int or n < 0 for n in dims):
+        raise ValueError(f"matrix dimensions must be nonnegative integers: {dims}")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix with explicit shape; columns act on vectors."""
+    """Immutable integer matrix with explicit shape; columns act on vectors.
+
+    The public constructors check the shape and that every entry is an
+    int; matrices computed from checked ones are built by the unchecked _of.
+    """
 
     rows: int
     cols: int
     entries: tuple  # tuple of row tuples
 
     def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative matrix dimension")
-        ent = tuple(tuple(int(x) for x in row) for row in self.entries)
+        _check_dims(self.rows, self.cols)
+        ent = tuple(tuple(row) for row in self.entries)
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
             raise ValueError("entries do not match the declared shape")
+        if not all(type(x) is int for row in ent for x in row):
+            raise ValueError("matrix entries must be integers")
         object.__setattr__(self, "entries", ent)
 
     @classmethod
+    def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
+        """Unchecked: entries must be `rows` int tuples of length `cols`."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows, cols: Optional[int] = None) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        if cols is None:
-            if not rows:
-                raise ValueError("column count is ambiguous for an empty matrix")
-            cols = len(rows[0])
-        return cls(len(rows), cols, tuple(tuple(r) for r in rows))
+        rows = tuple(tuple(r) for r in rows)
+        if cols is None and not rows:
+            raise ValueError("column count is ambiguous for an empty matrix")
+        return cls(len(rows), len(rows[0]) if cols is None else cols, rows)
 
     @classmethod
     def from_columns(cls, cols, rows: int) -> "IntMatrix":
-        cols = [list(c) for c in cols]
-        for c in cols:
-            if len(c) != rows:
-                raise ValueError("column has the wrong length")
-        ent = tuple(tuple(c[i] for c in cols) for i in range(rows))
-        return cls(rows, len(cols), ent)
+        cols = [tuple(c) for c in cols]
+        if any(len(c) != rows for c in cols):
+            raise ValueError("column has the wrong length")
+        return cls(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
-                               for i in range(n)))
+        _check_dims(n)
+        return cls._of(n, n, tuple(tuple(1 if i == j else 0 for j in range(n))
+                                   for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple(tuple(0 for _ in range(cols))
-                                     for _ in range(rows)))
+        _check_dims(rows, cols)
+        return cls._of(rows, cols, ((0,) * cols,) * rows)
 
     def __getitem__(self, i: int) -> tuple:
         return self.entries[i]
@@ -77,45 +94,39 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self.entries)) if self.rows else [()] * self.cols
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} times {other.shape}")
-        ent = tuple(
-            tuple(sum(self.entries[i][k] * other.entries[k][j]
-                      for k in range(self.cols))
-                  for j in range(other.cols))
-            for i in range(self.rows)
-        )
-        return IntMatrix(self.rows, other.cols, ent)
+        cols = other.columns()
+        return IntMatrix._of(self.rows, other.cols, tuple(
+            tuple(sum(map(mul, row, col)) for col in cols)
+            for row in self.entries))
 
     def vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise ValueError(f"vector length {len(v)} != {self.cols} columns")
-        return tuple(sum(self.entries[i][k] * v[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple(sum(map(mul, row, v)) for row in self.entries)
 
     def hstack(self, other: "IntMatrix") -> "IntMatrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        ent = tuple(self.entries[i] + other.entries[i] for i in range(self.rows))
-        return IntMatrix(self.rows, self.cols + other.cols, ent)
+        return IntMatrix._of(self.rows, self.cols + other.cols, tuple(
+            a + b for a, b in zip(self.entries, other.entries)))
 
     def add(self, other: "IntMatrix") -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch in add")
-        ent = tuple(tuple(a + b for a, b in zip(ra, rb))
-                    for ra, rb in zip(self.entries, other.entries))
-        return IntMatrix(self.rows, self.cols, ent)
+        return IntMatrix._of(self.rows, self.cols, tuple(
+            tuple(map(add, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def scale(self, n: int) -> "IntMatrix":
-        ent = tuple(tuple(n * x for x in row) for row in self.entries)
-        return IntMatrix(self.rows, self.cols, ent)
+        if type(n) is not int:
+            raise ValueError(f"scale factor must be an integer, got {n!r}")
+        return IntMatrix._of(self.rows, self.cols, tuple(
+            tuple(n * x for x in row) for row in self.entries))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -297,7 +308,7 @@ def _smith(m: IntMatrix, greedy: bool):
             row_negate(i)
 
     def fin(data, r, c):
-        return IntMatrix(r, c, tuple(tuple(row) for row in data))
+        return IntMatrix._of(r, c, tuple(map(tuple, data)))
 
     return (fin(u, rows, rows), fin(uinv, rows, rows), fin(a, rows, cols),
             fin(v, cols, cols))
@@ -331,6 +342,11 @@ def solve_matrix(m: IntMatrix, y: Sequence[int]) -> Optional[tuple]:
     return None if z is None else v.vec(z)
 
 
+def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
+    """from_columns without the check, for columns of computed ints."""
+    return IntMatrix._of(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
+
+
 def _back_substitute(d: IntMatrix, uy: Sequence[int]) -> Optional[list]:
     """z with d z = uy, free parameters zero; None if unsolvable.
 
@@ -341,12 +357,9 @@ def _back_substitute(d: IntMatrix, uy: Sequence[int]) -> Optional[list]:
     z = [0] * d.cols
     for i in range(d.rows):
         di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if uy[i] != 0:
-                return None
-        else:
-            if uy[i] % di != 0:
-                return None
+        if (uy[i] % di if di else uy[i]) != 0:  # row i reads di * z_i = uy_i
+            return None
+        if di:
             z[i] = uy[i] // di
     return z
 
@@ -363,12 +376,13 @@ class FgGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError("negative free rank")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
+        if type(self.free_rank) is not int or self.free_rank < 0:
+            raise ValueError(f"free rank must be a nonnegative integer, "
+                             f"got {self.free_rank!r}")
+        object.__setattr__(self, "torsion", tuple(self.torsion))
         for d in self.torsion:
-            if d < 2:
-                raise ValueError(f"invariant factor {d} < 2")
+            if type(d) is not int or d < 2:
+                raise ValueError(f"invariant factor {d!r} is not an integer >= 2")
         for a, b in zip(self.torsion, self.torsion[1:]):
             if b % a != 0:
                 raise ValueError(f"broken divisibility chain {self.torsion}")
@@ -398,7 +412,9 @@ class FgGroup:
     def reduce_coords(self, coords: Sequence[int]) -> tuple:
         if len(coords) != self.ngens:
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
-        out = [int(c) for c in coords]
+        if not all(type(c) is int for c in coords):
+            raise ValueError(f"coordinates must be integers, got {list(coords)!r}")
+        out = list(coords)
         for i, d in enumerate(self.torsion):
             out[self.free_rank + i] %= d
         return tuple(out)
@@ -417,13 +433,9 @@ class FgGroup:
 
     def relations(self) -> IntMatrix:
         """Relation columns d_i * e_i in Z^ngens for the torsion generators."""
-        n = self.ngens
-        cols = []
-        for i, d in enumerate(self.torsion):
-            col = [0] * n
-            col[self.free_rank + i] = d
-            cols.append(col)
-        return IntMatrix.from_columns(cols, n)
+        k = len(self.torsion)
+        return IntMatrix._of(self.ngens, k, ((0,) * k,) * self.free_rank + tuple(
+            (0,) * i + (d,) + (0,) * (k - 1 - i) for i, d in enumerate(self.torsion)))
 
     def describe(self) -> str:
         """Canonical text form.
@@ -471,10 +483,6 @@ class GroupElement:
         return self.group.element([n * a for a in self.coords])
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def element_order(x: GroupElement) -> int:
     """Least n >= 1 with n*x = 0; 0 encodes infinite order."""
     r = x.group.free_rank
@@ -483,7 +491,7 @@ def element_order(x: GroupElement) -> int:
     n = 1
     for c, d in zip(x.coords[r:], x.group.torsion):
         if c != 0:
-            n = _lcm(n, d // gcd(c, d))
+            n = lcm(n, d // gcd(c, d))
     return n
 
 
@@ -515,10 +523,9 @@ class Hom:
                 f"({self.codomain.ngens}, {self.domain.ngens})")
         reduced = _reduce_matrix(self.codomain, self.matrix)
         object.__setattr__(self, "matrix", reduced)
-        for j, d in enumerate(self.domain.torsion):
-            col = reduced.column(self.domain.free_rank + j)
-            scaled = [d * c for c in col]
-            if any(c != 0 for c in self.codomain.reduce_coords(scaled)):
+        tors_cols = reduced.columns()[self.domain.free_rank:]
+        for j, (d, col) in enumerate(zip(self.domain.torsion, tors_cols)):
+            if any(self.codomain.reduce_coords([d * c for c in col])):
                 raise HomError(f"ill-defined on torsion generator {j} of order {d}")
 
     @classmethod
@@ -546,11 +553,11 @@ class Hom:
 
 
 def _reduce_matrix(codomain: FgGroup, m: IntMatrix) -> IntMatrix:
-    rows = [list(row) for row in m.entries]
-    for i, d in enumerate(codomain.torsion):
-        r = codomain.free_rank + i
-        rows[r] = [x % d for x in rows[r]]
-    return IntMatrix(m.rows, m.cols, tuple(tuple(r) for r in rows))
+    if not codomain.torsion:
+        return m
+    r = codomain.free_rank
+    return IntMatrix._of(m.rows, m.cols, m.entries[:r] + tuple(
+        tuple(x % d for x in row) for row, d in zip(m.entries[r:], codomain.torsion)))
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +573,18 @@ def cokernel_presentation(n: int, relations: IntMatrix):
     """
     if relations.rows != n:
         raise ValueError("relations live in the wrong ambient rank")
+    if n == 0 or relations.cols == 0:  # what the Smith form would give
+        one = IntMatrix.identity(n)
+        return FgGroup(n), one, one
     u, uinv, d, _ = _snf_with_inverses(relations)
     diag = d.diagonal()
     free_idx = [i for i in range(n) if (diag[i] if i < len(diag) else 0) == 0]
     tors_idx = [i for i in range(n) if i < len(diag) and diag[i] >= 2]
     group = FgGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
     kept = free_idx + tors_idx
-    proj = IntMatrix.from_rows([u.entries[i] for i in kept], n)
-    sect = IntMatrix.from_columns([uinv.column(i) for i in kept], n)
+    proj = IntMatrix._of(len(kept), n, tuple(u.entries[i] for i in kept))
+    sect = IntMatrix._of(n, len(kept), tuple(tuple(row[i] for i in kept)
+                                             for row in uinv.entries))
     return group, proj, sect
 
 
@@ -594,12 +605,10 @@ def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
         if z is None:
             raise ValueError("relations do not lie in the generator lattice")
         rel_coords.append(z[:rank])
-    rel_in_basis = IntMatrix.from_columns(rel_coords, rank)
-    group, _, sect = cokernel_presentation(rank, rel_in_basis)
-    basis = [tuple(diag[i] * x for x in uinv.column(i)) for i in range(rank)]
-    basis_matrix = IntMatrix.from_columns(basis, n)
-    reps = basis_matrix @ sect
-    return group, reps
+    group, _, sect = cokernel_presentation(rank, _from_columns(rel_coords, rank))
+    basis = IntMatrix._of(n, rank, tuple(tuple(map(mul, row[:rank], diag))
+                                         for row in uinv.entries))
+    return group, basis @ sect
 
 
 # ---------------------------------------------------------------------------
@@ -620,9 +629,8 @@ def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     stacked = h.matrix.hstack(h.codomain.relations())
     _, _, d, v = _snf_with_inverses(stacked)
     rank = sum(1 for x in d.diagonal() if x != 0)
-    cols = [col[:na] for col in v.columns()[rank:]]
-    cols.extend(h.domain.relations().columns())  # always in the kernel
-    return IntMatrix.from_columns(cols, na)
+    free = IntMatrix._of(na, v.cols - rank, tuple(row[rank:] for row in v.entries[:na]))
+    return free.hstack(h.domain.relations())  # relations: always in the kernel
 
 
 def kernel(h: Hom) -> tuple[FgGroup, Hom]:
@@ -687,7 +695,7 @@ def section_matrix(h: Hom) -> IntMatrix:
         if z is None:
             raise HomError("not surjective: a codomain generator has no preimage")
         cols.append(h.domain.reduce_coords(v.vec(z)[:na]))
-    return IntMatrix.from_columns(cols, na)
+    return _from_columns(cols, na)
 
 
 def is_surjective(h: Hom) -> bool:
@@ -719,26 +727,18 @@ def direct_sum(summands: Sequence[FgGroup]):
     so torsion from different summands may recombine (Z/2 + Z/3 = Z/6).
     """
     n = sum(g.ngens for g in summands)
-    rel_cols = []
-    offsets = []
-    offset = 0
-    for g in summands:
-        offsets.append(offset)
-        for col in g.relations().columns():
-            full = [0] * n
-            for i, x in enumerate(col):
-                full[offset + i] = x
-            rel_cols.append(full)
-        offset += g.ngens
-    group, proj, sect = cokernel_presentation(n, IntMatrix.from_columns(rel_cols, n))
+    offsets = [sum(g.ngens for g in summands[:i]) for i in range(len(summands))]
+    rel_cols = [(0,) * off + col + (0,) * (n - off - g.ngens)  # block diagonal
+                for g, off in zip(summands, offsets) for col in g.relations().columns()]
+    group, proj, sect = cokernel_presentation(n, _from_columns(rel_cols, n))
     inclusions = []
     projections = []
     for g, off in zip(summands, offsets):
         # summand g owns columns off.. of proj and rows off.. of sect
-        cols = IntMatrix.from_rows([row[off:off + g.ngens] for row in proj.entries],
-                                   g.ngens)
+        cols = IntMatrix._of(group.ngens, g.ngens,
+                             tuple(row[off:off + g.ngens] for row in proj.entries))
         inclusions.append(Hom(g, group, cols))
-        rows = IntMatrix.from_rows(sect.entries[off:off + g.ngens], group.ngens)
+        rows = IntMatrix._of(g.ngens, group.ngens, sect.entries[off:off + g.ngens])
         projections.append(Hom(group, g, rows))
     return group, inclusions, projections
 

@@ -62,7 +62,7 @@ def parse_class(spec, group, names, field: str) -> GroupElement:
     """Parse a class from coordinates or a named-generator expression."""
     if spec is None:
         return group.zero_element()
-    if not isinstance(spec, (list, tuple)):
+    if type(spec) is int or isinstance(spec, str):
         text = str(spec).strip()
         if text in ("", "0"):
             return group.zero_element()
@@ -70,7 +70,7 @@ def parse_class(spec, group, names, field: str) -> GroupElement:
                                   for part in text.split(",")):
             return _parse_expression(text, group, names, field)
         spec = [int(part) for part in text.split(",")]
-    if not all(type(c) is int for c in spec):
+    if not isinstance(spec, (list, tuple)) or not all(type(c) is int for c in spec):
         raise JobError(f"{field}: coordinates must be integers, got {spec!r}")
     if len(spec) != group.ngens:
         raise JobError(

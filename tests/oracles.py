@@ -19,6 +19,7 @@ from math import gcd, prod
 from tdual.abelian import (
     ZERO_GROUP,
     Hom,
+    IntMatrix,
     _preimage_of_zero_lattice,
     cokernel,
     kernel,
@@ -100,6 +101,21 @@ def determinant(m) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# ---------------------------------------------------------------------------
+# matrices as the public constructor checks them
+# ---------------------------------------------------------------------------
+
+def is_checked_matrix(m) -> bool:
+    """True iff m passes the check that the engine skips for the matrices
+    it computes: the public IntMatrix constructor accepts its fields and
+    returns them unchanged, so they are a tuple of int tuples of the
+    declared shape (a list where a tuple belongs compares unequal)."""
+    try:
+        return IntMatrix(m.rows, m.cols, m.entries) == m
+    except ValueError:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -184,6 +184,8 @@ def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
     ("max_degree", {"mode": "cohomology", "base": "S2", "max_degree": [3]}),
     ("gen", {"mode": "coset-partition", "base": "S2", "euler": "0",
              "gen": [[1]]}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": 1.5}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": True}),
 ])
 def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
     path = tmp_path / "jobs.json"
@@ -192,6 +194,7 @@ def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
     assert code == EXIT_VALIDATION and out == ""
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
+    assert "unknown generator" not in err
 
 
 def test_base_must_be_a_name():

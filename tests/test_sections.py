@@ -340,8 +340,9 @@ def test_mixed_radix_lifts_match_per_element_preimages(coords):
     assert part.representatives == tuple(x.coords for x in want)
 
 
-@pytest.mark.parametrize("base,flux,budget", [("T2", "3*vol.z", 54),
-                                              ("RP7", "a.z", 105)])
+@pytest.mark.parametrize("base,flux,budget", [
+    pytest.param("T2", "3*vol.z", 32, id="T2-3*vol.z"),
+    pytest.param("RP7", "a.z", 67, id="RP7-a.z")])
 def test_dualize_snf_call_budget(snf_calls, base, flux, budget):
     run_job({"mode": "dualize", "base": base, "euler": "0", "flux": flux})
     assert 0 < snf_calls[0] <= budget
@@ -350,7 +351,7 @@ def test_dualize_snf_call_budget(snf_calls, base, flux, budget):
 def test_dualize_with_b_class_snf_call_budget(snf_calls):
     run_job({"mode": "dualize", "base": "S2", "euler": "0",
              "flux": "6*vol.z", "b": "p*(vol)"})
-    assert 0 < snf_calls[0] <= 56
+    assert 0 < snf_calls[0] <= 34
 
 
 def test_warm_dualize_job_builds_no_degree(snf_calls, monkeypatch):
@@ -387,8 +388,9 @@ def test_exactness_audit_snf_budget(snf_calls, base, euler):
     assert 0 < snf_calls[0] - before <= 6 * (tsc.top + 1)
 
 
-@pytest.mark.parametrize("space,budget", [("R2", 27), ("R32", 33),
-                                          ("E32", 47)])
+@pytest.mark.parametrize("space,budget", [
+    pytest.param("R2", 14, id="R2"), pytest.param("R32", 17, id="R32"),
+    pytest.param("E32", 27, id="E32")])
 def test_tables_snf_call_budget(snf_calls, space, budget):
     """The mapping torus takes each cover degree's shift once, and
     split_degree one kernel and one cokernel per degree."""

@@ -1,0 +1,192 @@
+"""The validation boundary of the integer layer.
+
+Only the public constructors (IntMatrix(...), from_rows, from_columns,
+FgGroup, reduce_coords and scale) check their input; they reject anything
+that is not an int instead of truncating it.  Every matrix the engine
+computes from checked ones is built by the unchecked IntMatrix._of, so
+each must already be what the check would have made of it: the oracle
+re-checks the matrices of every function that builds with _of.
+"""
+
+import re
+from math import gcd
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tdual.abelian import (
+    FgGroup,
+    Hom,
+    IntMatrix,
+    _smith,
+    _snf_with_inverses,
+    cokernel,
+    cokernel_presentation,
+    direct_sum,
+    image,
+    kernel,
+    section_matrix,
+)
+
+from . import oracles
+
+ROOT = Path(__file__).resolve().parent.parent
+DENSE_8X8 = [[(7 * i + 3 * j) % 19 - 9 for j in range(8)] for i in range(8)]
+
+
+def checked(*matrices):
+    for m in matrices:
+        assert oracles.is_checked_matrix(m), m
+    return True
+
+
+# ---------------------------------------------------------------------------
+# strategies: empty shapes, torsion, dense 8x8
+# ---------------------------------------------------------------------------
+
+entries = st.integers(-9, 9)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    rows = draw(st.integers(0, 8)) if rows is None else rows
+    cols = draw(st.integers(0, 8)) if cols is None else cols
+    return IntMatrix(rows, cols, tuple(tuple(draw(entries) for _ in range(cols))
+                                       for _ in range(rows)))
+
+
+@st.composite
+def groups(draw):
+    chain = []
+    for _ in range(draw(st.integers(0, 4))):
+        chain.append((chain[-1] if chain else 1) * draw(st.sampled_from([1, 2, 3])))
+    return FgGroup(draw(st.integers(0, 4)), tuple(d for d in chain if d > 1))
+
+
+@st.composite
+def homs(draw):
+    """A well-defined hom: a torsion generator of order d goes to an
+    element that d kills."""
+    domain, codomain = draw(groups()), draw(groups())
+    cols = []
+    for j in range(domain.ngens):
+        d = domain.torsion[j - domain.free_rank] if j >= domain.free_rank else 0
+        col = [0 if d else draw(entries) for _ in range(codomain.free_rank)]
+        col += [draw(entries) * (e // gcd(d, e)) for e in codomain.torsion]
+        cols.append(col)
+    return Hom(domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
+
+
+# ---------------------------------------------------------------------------
+# the oracle on every engine-built matrix
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+@example(IntMatrix.from_rows(DENSE_8X8))
+@example(IntMatrix.zeros(0, 5))
+@example(IntMatrix.zeros(5, 0))
+def test_smith_forms_are_checked_matrices(m):
+    greedy, hermite = _snf_with_inverses(m), _smith(m, greedy=False)
+    assert checked(*greedy) and checked(*hermite)
+    assert greedy[2] == hermite[2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(homs())
+def test_kernel_cokernel_image_and_section_are_checked_matrices(h):
+    for _, hom in (kernel(h), cokernel(h), image(h)):
+        assert checked(hom.matrix)
+        assert hom.domain.ngens == hom.matrix.cols
+    _, proj = cokernel(h)
+    assert checked(section_matrix(proj))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(groups(), max_size=4))
+def test_direct_sum_maps_are_checked_matrices(summands):
+    _, inclusions, projections = direct_sum(summands)
+    assert checked(*(f.matrix for f in inclusions + projections))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.data())
+def test_matrix_arithmetic_gives_checked_matrices(r, k, c, data):
+    a, b = data.draw(matrices(r, k)), data.draw(matrices(k, c))
+    a2, extra = data.draw(matrices(r, k)), data.draw(matrices(r, c))
+    assert checked(a @ b, a.hstack(extra), a.add(a2), a.scale(data.draw(entries)))
+    assert IntMatrix.from_columns(a.columns(), r) == a
+
+
+def test_dense_arithmetic_matches_the_entrywise_definition():
+    m = IntMatrix.from_rows(DENSE_8X8)
+    prod = m @ m
+    assert checked(prod)
+    assert prod.entries == tuple(
+        tuple(sum(DENSE_8X8[i][k] * DENSE_8X8[k][j] for k in range(8))
+              for j in range(8)) for i in range(8))
+    assert m.columns() == [tuple(row[j] for row in DENSE_8X8) for j in range(8)]
+    assert IntMatrix.zeros(0, 3).columns() == [(), (), ()]
+
+
+# ---------------------------------------------------------------------------
+# the zero-dimension shortcut of cokernel_presentation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(n, 0) for n in range(7)]
+                         + [(0, k) for k in range(1, 7)])
+def test_empty_presentation_equals_the_smith_form_path(shape):
+    n, k = shape
+    relations = IntMatrix.zeros(n, k)
+    u, uinv, d, _ = _snf_with_inverses(relations)
+    assert d.diagonal() == []  # every row is free, kept in order
+    group, proj, sect = cokernel_presentation(n, relations)
+    assert (group, proj, sect) == (FgGroup(n), u, uinv)
+    assert checked(proj, sect)
+
+
+# ---------------------------------------------------------------------------
+# the boundary rejects non-integers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("build", [
+    lambda: IntMatrix(1, 1, ((1.5,),)),
+    lambda: IntMatrix(1, 1, ((True,),)),
+    lambda: IntMatrix(1.0, 1, ((1,),)),
+    lambda: IntMatrix(-1, 0, ()),
+    lambda: IntMatrix(2, 1, ((1,),)),
+    lambda: IntMatrix.zeros(-1, 2),
+    lambda: IntMatrix.identity(-1),
+    lambda: IntMatrix.from_rows([[1, 2.0]]),
+    lambda: IntMatrix.from_columns([[1], ["2"]], 1),
+    lambda: IntMatrix.identity(2).scale(1.5),
+    lambda: FgGroup(1.5),
+    lambda: FgGroup(True),
+    lambda: FgGroup(0, (2.0,)),
+    lambda: FgGroup(0, (2,)).element([3.7]),
+    lambda: FgGroup(1).element([False]),
+    lambda: FgGroup(1).generator(0).scale(0.5),
+])
+def test_public_constructors_reject_non_integers(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_integer_input_is_stored_as_given():
+    m = IntMatrix(2, 1, [[3], (-4,)])
+    assert m.entries == ((3,), (-4,)) and checked(m)
+    assert FgGroup(0, [2, 4]).torsion == (2, 4)
+    assert FgGroup(0, (2,)).element([3]).coords == (1,)
+
+
+def test_only_abelian_builds_unchecked_matrices():
+    """The unchecked constructor is private to the integer layer."""
+    call = re.compile(r"\b_of\(")
+    allowed = {ROOT / "src" / "tdual" / "abelian.py", Path(__file__).resolve()}
+    offenders = [str(p.relative_to(ROOT))
+                 for top in ("src", "bench", "tests") for p in (ROOT / top).rglob("*.py")
+                 if p.resolve() not in allowed and call.search(p.read_text())]
+    assert offenders == []
+    assert call.search((ROOT / "src" / "tdual" / "abelian.py").read_text())
