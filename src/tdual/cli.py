@@ -1,6 +1,6 @@
 """Batch front end: parse job specifications, run the engines, emit reports.
 
-Job modes:
+Job modes (declared once, in `MODES`, for job files and subcommands alike):
 
   cohomology         total-space cohomology of one bundle
   dualize            the full T-duality transform of a triple
@@ -12,7 +12,8 @@ generator order of the relevant degree (a list of ints, or the string
 "2,0,1"), or as sums of named generators with integer coefficients
 ("2*vol.z + 1*p*(vol)"): run the `cohomology` mode to list the generator
 names of any space.  A coordinate or max_degree that is not an int (a
-float, a bool, a list) is a validation error.
+float, a bool, a list), and a field that the job's mode does not take,
+are validation errors.
 
 Exit codes: 0 success, 2 validation error (of a job or the job file), 3 a
 conjecture-only result was requested under --strict, 4 an internal
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import classifying, fixtures, report
 from .abelian import GroupElement, HomError
@@ -33,6 +35,7 @@ from .spaces import UnknownSpaceError, cohomology_of, parse_space
 from .tduality import (
     BNotLiftableError,
     ExactnessBugError,
+    FLAG_AMBIGUOUS,
     FLAG_B_NOT_LIFTABLE,
     FLAG_CONJECTURE,
     Triple,
@@ -89,8 +92,8 @@ def _parse_expression(text: str, group, names, field: str) -> GroupElement:
         name = term
         if term.startswith("-"):
             coeff, name = -1, term[1:].strip()
-        head, star, tail = name.partition("*")
-        if star and head.lstrip("-").isdigit():
+        head, star, tail = name.partition("*")  # p*(g) keeps its own '*'
+        if star and head.strip().isdigit():
             coeff *= int(head)
             name = tail.strip()
         if name not in names:
@@ -104,28 +107,18 @@ def _parse_expression(text: str, group, names, field: str) -> GroupElement:
 # job execution
 # ---------------------------------------------------------------------------
 
-def _resolve_base(spec):
+def _build_total(spec):
     name = spec.get("base")
     if not name:
         raise JobError("base: required")
     try:
-        return parse_space(str(name))
+        space = parse_space(str(name))
     except UnknownSpaceError as exc:
         raise JobError(f"base: {exc}") from None
-
-
-def _default_top(space) -> int:
-    dim = space.dimension()
-    if dim is None:
-        return 4
-    return max(3, dim + 1)
-
-
-def _build_total(spec):
-    space = _resolve_base(spec)
     top = spec.get("max_degree")
     if top is None:
-        top = _default_top(space)
+        dim = space.dimension()
+        top = 4 if dim is None else max(3, dim + 1)
     elif type(top) is not int:
         raise JobError(f"max_degree: expected an integer, got {top!r}")
     if top < 0 or top > 11:
@@ -137,41 +130,35 @@ def _build_total(spec):
 
 def run_job(spec: dict) -> dict:
     """Dispatch one job; deterministic output for identical input."""
-    mode = spec.get("mode")
-    if mode == "cohomology":
-        return _job_cohomology(spec)
-    if mode == "dualize":
-        return _job_dualize(spec)
-    if mode == "coset-partition":
-        return _job_coset_partition(spec)
-    if mode == "classifying-tables":
-        return _job_tables(spec)
-    raise JobError(f"mode: unknown mode {mode!r}")
+    name = spec.get("mode")
+    mode = MODES.get(name) if isinstance(name, str) else None
+    if mode is None:
+        raise JobError(f"mode: unknown mode {name!r}")
+    for field in spec:
+        if field != "mode" and field not in mode.fields:
+            raise JobError(f"{field}: not a field of mode {name!r}")
+    return mode.handler(spec)
 
 
-def _echo(spec):
-    return {k: spec[k] for k in sorted(spec)}
+def _report(spec, flags, **body) -> dict:
+    """A report: the keys every mode writes, then the mode's own keys."""
+    return {"schema_version": report.SCHEMA_VERSION, "mode": spec["mode"],
+            "input": dict(spec), "flags": flags, **body}
 
 
 def _job_cohomology(spec) -> dict:
+    """Total-space cohomology table of one bundle."""
     tsc = _build_total(spec)
-    base = tsc.base
-    flags = []
-    if tsc.ambiguous_degrees():
-        flags.append("AMBIGUOUS-EXTENSION")
-    return {
-        "schema_version": report.SCHEMA_VERSION,
-        "mode": "cohomology",
-        "input": _echo(spec),
-        "base": report.graded_json(base.groups, base.names),
-        "euler": list(tsc.euler.coords),
-        "total_space": report.total_space_json(tsc),
-        "ambiguous_degrees": [[k, "total"] for k in tsc.ambiguous_degrees()],
-        "flags": flags,
-    }
+    ambiguous = tsc.ambiguous_degrees()
+    return _report(spec, [FLAG_AMBIGUOUS] if ambiguous else [],
+                   base=report.graded_json(tsc.base.groups, tsc.base.names),
+                   euler=list(tsc.euler.coords),
+                   total_space=report.total_space_json(tsc),
+                   ambiguous_degrees=[[k, "total"] for k in ambiguous])
 
 
 def _job_dualize(spec) -> dict:
+    """T-dualize one triple."""
     tsc = _build_total(spec)
     if tsc.top < 3:
         raise JobError("max_degree: dualize needs total-space degree 3")
@@ -180,46 +167,29 @@ def _job_dualize(spec) -> dict:
         b = parse_class(spec.get("b"), tsc.group(2), tsc.names(2), "b")
         rep = dualize(Triple(tsc, b, flux))
     except BNotLiftableError as exc:
-        return {
-            "schema_version": report.SCHEMA_VERSION,
-            "mode": "dualize",
-            "input": _echo(spec),
-            "error": str(exc),
-            "flags": [FLAG_B_NOT_LIFTABLE],
-        }
-    dual = rep.dual.total
+        return _report(spec, [FLAG_B_NOT_LIFTABLE], error=str(exc))
     amb_group, amb_incl = rep.flux_ambiguity
-    doc = {
-        "schema_version": report.SCHEMA_VERSION,
-        "mode": "dualize",
-        "input": _echo(spec),
-        "source": {
-            "euler": list(tsc.euler.coords),
-            "table": report.total_space_json(tsc),
-            "flux": list(flux.coords),
-            "b": list(b.coords),
-        },
-        "dual": {
-            "euler": list(dual.euler.coords),
-            "table": report.total_space_json(dual),
-            "flux": list(rep.dual.flux.coords),
-            "b": list(rep.dual.b.coords),
-        },
-        "flux_ambiguity": {
+    return _report(
+        spec, sorted(rep.flags),
+        source=_triple_json(rep.source), dual=_triple_json(rep.dual),
+        flux_ambiguity={
             "subgroup": report.group_json(amb_group),
             "inclusion": report.matrix_json(amb_incl.matrix),
         },
-        "cosets": {
+        cosets={
             "source": _coset_json(rep.source_coset),
             "target": _coset_json(rep.target_coset),
             "isomorphism": None if rep.coset_iso is None else
                 report.hom_json(rep.coset_iso),
             "natural": rep.coset_iso_natural,
         },
-        "ambiguous_degrees": [list(x) for x in rep.ambiguous_degrees],
-        "flags": sorted(rep.flags),
-    }
-    return doc
+        ambiguous_degrees=[list(x) for x in rep.ambiguous_degrees])
+
+
+def _triple_json(t: Triple) -> dict:
+    return {"euler": list(t.euler.coords),
+            "table": report.total_space_json(t.total),
+            "flux": list(t.flux.coords), "b": list(t.b.coords)}
 
 
 def _coset_json(c) -> dict:
@@ -236,70 +206,101 @@ def _coset_json(c) -> dict:
 
 
 def _job_coset_partition(spec) -> dict:
+    """Partition H^2 of a total space into cosets."""
     tsc = _build_total(spec)
     gen = parse_class(spec.get("gen"), tsc.group(2), tsc.names(2), "gen")
-    part = coset_partition(tsc, gen)
-    return {
-        "schema_version": report.SCHEMA_VERSION,
-        "mode": "coset-partition",
-        "input": _echo(spec),
-        "h2": report.group_json(tsc.group(2)),
-        "generators": list(tsc.names(2)),
-        "partition": _coset_json(part),
-        "flags": [],
-    }
+    return _report(spec, [], h2=report.group_json(tsc.group(2)),
+                   generators=list(tsc.names(2)),
+                   partition=_coset_json(coset_partition(tsc, gen)))
+
+
+def _r2_tables() -> dict:
+    out = classifying.r2_cohomology_computed()
+    return {"reference": report.graded_json(fixtures.R2_GROUPS,
+                                            fixtures.r2_cohomology().names),
+            "computed": report.graded_json(out.table.groups, out.table.names)}
+
+
+def _r32_tables() -> dict:
+    out = classifying.r32_cohomology_computed()
+    return {"reference": report.graded_json(fixtures.R32_GROUPS,
+                                            fixtures.R32_NAMES),
+            "computed": report.graded_json(out.table.groups, out.table.names),
+            "note": ("computed degree 3 has rank 2; the reference table "
+                     "lists rank 1 there (see README, known discrepancy)")}
+
+
+def _e32_tables() -> dict:
+    ub = classifying.universal_bundle_tables()
+    return {"e32": report.graded_json(
+                [ub.e32.group(k) for k in range(4)], ub.e32.names),
+            "e32_hat": report.graded_json(
+                [ub.e32_hat.group(k) for k in range(4)], ub.e32_hat.names)}
+
+
+def _homotopy_tables() -> dict:
+    tables = classifying.homotopy_tables()
+    return {"r2": {str(i): report.group_json(tables.pi("R2", i))
+                   for i in range(1, 5)},
+            "r32": {str(i): report.group_json(tables.pi("R32", i))
+                    for i in range(1, 5)},
+            "r2_pi2_action": report.matrix_json(tables.r2_pi2_action),
+            "r32_pi2_action": report.matrix_json(tables.r32_pi2_action)}
+
+
+# The classifying-space tables by name: the choices of `tdual tables` and
+# of a classifying-tables job's `space` field.
+TABLES = {"R2": _r2_tables, "R32": _r32_tables, "E32": _e32_tables,
+          "homotopy": _homotopy_tables}
 
 
 def _job_tables(spec) -> dict:
-    which = str(spec.get("space", "")).strip().lower()
-    doc = {
-        "schema_version": report.SCHEMA_VERSION,
-        "mode": "classifying-tables",
-        "input": _echo(spec),
-        "flags": [],
-    }
-    if which == "r2":
-        out = classifying.r2_cohomology_computed()
-        doc["reference"] = report.graded_json(fixtures.R2_GROUPS,
-                                              fixtures.r2_cohomology().names)
-        doc["computed"] = report.graded_json(out.table.groups, out.table.names)
-    elif which in ("r32", "r3,2", "r_32"):
-        out = classifying.r32_cohomology_computed()
-        doc["reference"] = report.graded_json(fixtures.R32_GROUPS,
-                                              fixtures.R32_NAMES)
-        doc["computed"] = report.graded_json(out.table.groups, out.table.names)
-        doc["note"] = ("computed degree 3 has rank 2; the reference table "
-                       "lists rank 1 there (see README, known discrepancy)")
-    elif which in ("e32", "e_32"):
-        ub = classifying.universal_bundle_tables()
-        doc["e32"] = report.graded_json(
-            [ub.e32.group(k) for k in range(4)], ub.e32.names)
-        doc["e32_hat"] = report.graded_json(
-            [ub.e32_hat.group(k) for k in range(4)], ub.e32_hat.names)
-    elif which == "homotopy":
-        tables = classifying.homotopy_tables()
-        doc["r2"] = {str(i): report.group_json(tables.pi("R2", i))
-                     for i in range(1, 5)}
-        doc["r32"] = {str(i): report.group_json(tables.pi("R32", i))
-                      for i in range(1, 5)}
-        doc["r2_pi2_action"] = report.matrix_json(tables.r2_pi2_action)
-        doc["r32_pi2_action"] = report.matrix_json(tables.r32_pi2_action)
-    else:
+    """Classifying-space tables."""
+    which = spec.get("space")
+    if not isinstance(which, str) or which not in TABLES:
         raise JobError(f"space: unknown table {which!r} "
-                       "(choose R2, R32, E32 or homotopy)")
-    return doc
+                       f"(choose one of {', '.join(TABLES)})")
+    return _report(spec, [], **TABLES[which]())
+
+
+class Mode(NamedTuple):
+    """A job mode: its subcommand, its handler (whose docstring is the
+    subcommand's help) and its class fields with their command-line
+    defaults.  A mode with class fields is about one bundle and also
+    takes `base` and `max_degree`; the tables mode takes `space`."""
+    command: str
+    handler: Callable[[dict], dict]
+    classes: dict
+    strict: bool = False  # its reports can carry CONJECTURE
+
+    @property
+    def fields(self) -> tuple:
+        """The fields a job of this mode may carry besides `mode`."""
+        if not self.classes:
+            return ("space",)
+        return ("base", *self.classes, "max_degree")
+
+
+MODES = {
+    "cohomology": Mode("cohomology", _job_cohomology, {"euler": "0"}),
+    "dualize": Mode("dualize", _job_dualize,
+                    {"euler": "0", "flux": "0", "b": "0"}, strict=True),
+    "coset-partition": Mode("coset-partition", _job_coset_partition,
+                            {"euler": "0", "gen": "0"}),
+    "classifying-tables": Mode("tables", _job_tables, {}),
+}
 
 
 # ---------------------------------------------------------------------------
 # command line
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_output(p, strict: bool):
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--max-degree", type=int, default=None)
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 when a result relies on the unproved "
-                        "coset-transport case")
+    if strict:
+        p.add_argument("--strict", action="store_true",
+                       help="exit 3 when a result relies on the unproved "
+                            "coset-transport case")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,66 +309,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact T-duality of circle bundles with flux and B-class")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a batch job file (JSON)")
+    run = sub.add_parser("run", help="Run a batch job file (JSON).")
     run.add_argument("jobfile")
-    _add_common(run)
+    _add_output(run, strict=True)
 
-    dual = sub.add_parser("dualize", help="T-dualize one triple")
-    dual.add_argument("--base", required=True)
-    dual.add_argument("--euler", default="0")
-    dual.add_argument("--flux", default="0")
-    dual.add_argument("--b", default="0")
-    _add_common(dual)
-
-    coh = sub.add_parser("cohomology", help="total-space cohomology table")
-    coh.add_argument("--base", required=True)
-    coh.add_argument("--euler", default="0")
-    _add_common(coh)
-
-    part = sub.add_parser("coset-partition",
-                          help="partition H^2 of a total space into cosets")
-    part.add_argument("--base", required=True)
-    part.add_argument("--euler", default="0")
-    part.add_argument("--gen", default="0")
-    _add_common(part)
-
-    tab = sub.add_parser("tables", help="classifying-space tables")
-    tab.add_argument("space", choices=("R2", "R32", "E32", "homotopy"))
-    _add_common(tab)
+    for name, mode in MODES.items():
+        p = sub.add_parser(mode.command, help=mode.handler.__doc__)
+        p.set_defaults(mode=name)
+        if mode.classes:
+            p.add_argument("--base", required=True)
+            for field, default in mode.classes.items():
+                p.add_argument(f"--{field}", default=default)
+            p.add_argument("--max-degree", type=int, default=argparse.SUPPRESS)
+        else:
+            p.add_argument("space", choices=TABLES)
+        _add_output(p, mode.strict)
     return parser
 
 
 def _spec_from_args(args) -> dict:
-    spec = {"mode": {"run": None, "dualize": "dualize",
-                     "cohomology": "cohomology",
-                     "coset-partition": "coset-partition",
-                     "tables": "classifying-tables"}[args.command]}
-    if args.command in ("dualize", "cohomology", "coset-partition"):
-        spec["base"] = args.base
-        spec["euler"] = args.euler
-        if args.command == "dualize":
-            spec["flux"] = args.flux
-            spec["b"] = args.b
-        if args.command == "coset-partition":
-            spec["gen"] = args.gen
-        if args.max_degree is not None:
-            spec["max_degree"] = args.max_degree
-    if args.command == "tables":
-        spec["space"] = args.space
-    return spec
+    values = vars(args)
+    return {field: values[field] for field in ("mode", *MODES[args.mode].fields)
+            if field in values}
 
 
 def _finish(docs, args, out) -> int:
     payload = docs[0] if len(docs) == 1 else {
         "schema_version": report.SCHEMA_VERSION, "reports": docs}
     out.write(report.emit(payload, args.format))
-    code = EXIT_OK
-    for doc in docs:
-        if FLAG_B_NOT_LIFTABLE in doc.get("flags", ()):
-            code = max(code, EXIT_VALIDATION)
-        if args.strict and FLAG_CONJECTURE in doc.get("flags", ()):
-            code = max(code, EXIT_STRICT_CONJECTURE)
-    return code
+    flags = {flag for doc in docs for flag in doc["flags"]}
+    if getattr(args, "strict", False) and FLAG_CONJECTURE in flags:
+        return EXIT_STRICT_CONJECTURE
+    if FLAG_B_NOT_LIFTABLE in flags:
+        return EXIT_VALIDATION
+    return EXIT_OK
 
 
 def main(argv=None, out=None) -> int:

@@ -70,14 +70,10 @@ class GradedCohomology:
         """The map (cup with e): H^k -> H^(k+2), for e in H^2."""
         if e.group != self.group(2):
             raise ValueError("cup class must live in H^2")
-        src = self.group(k) if k >= 0 else ZERO_GROUP
+        src = self.group(k)
         dst = self.group(k + 2)
-        if k < 0 or k > self.max_degree:
+        if k < 0 or k + 2 > self.max_degree:
             return Hom.zero(src, dst)
-        if k + 2 > self.max_degree:
-            if dst.is_zero():
-                return Hom.zero(src, dst)
-            raise ValueError(f"no cup data into degree {k + 2}")
         if self.cup_gens is None:
             raise ValueError(f"{self.label} carries no ring data")
         total = IntMatrix.zeros(dst.ngens, src.ngens)

@@ -204,8 +204,7 @@ def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
     except HomError:
         pass
     if source_coset.quotient == target_coset.quotient:
-        iso = Hom.identity(source_coset.quotient)
-        return Hom(source_coset.quotient, target_coset.quotient, iso.matrix), False
+        return Hom.identity(source_coset.quotient), False
     return None, False
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from tdual import cli
+from tdual import cli, report
 from tdual.cli import (
     EXIT_INTERNAL,
     EXIT_OK,
@@ -39,6 +39,9 @@ def test_parse_class_forms():
         parse_class("1,2", g, names, "x")
     with pytest.raises(JobError):
         parse_class("2*w", g, names, "x")
+    named = ("vol.z", "p*(vol)", "t")
+    assert parse_class("3 * vol.z", g, named, "x").coords == (3, 0, 0)
+    assert parse_class("- 2 * p*(vol)", g, named, "x").coords == (0, -2, 0)
 
 
 def test_parse_class_list_and_comma_string_agree():
@@ -125,6 +128,40 @@ def test_cli_validation_error_exit_code(tmp_path):
     assert code == EXIT_VALIDATION
 
 
+# Each command against the job a job file would carry for it, so the
+# command-line defaults ("euler": "0", ...) are part of what is compared.
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, spec", [
+    (["cohomology", "--base", "S2", "--euler", "4", "--max-degree", "5"],
+     {"mode": "cohomology", "base": "S2", "euler": "4", "max_degree": 5}),
+    (["dualize", "--base", "T2", "--flux", "3*vol.z", "--max-degree", "3"],
+     {"mode": "dualize", "base": "T2", "euler": "0", "flux": "3*vol.z",
+      "b": "0", "max_degree": 3}),
+    (["coset-partition", "--base", "S2", "--euler", "5", "--max-degree", "4"],
+     {"mode": "coset-partition", "base": "S2", "euler": "5", "gen": "0",
+      "max_degree": 4}),
+    (["tables", "E32"], {"mode": "classifying-tables", "space": "E32"}),
+], ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_command_reports_what_its_job_reports(argv, spec, fmt):
+    code, out = run_cli(argv + ["--format", fmt])
+    assert code == EXIT_OK
+    assert out == report.emit(run_job(spec), fmt)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "jobs.json", "--max-degree", "1"],
+    ["tables", "R2", "--max-degree", "3"],
+    ["cohomology", "--base", "S2", "--strict"],
+    ["coset-partition", "--base", "S2", "--strict"],
+    ["tables", "R2", "--strict"],
+], ids=" ".join)
+def test_flag_that_changes_nothing_is_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(argv)
+    assert exited.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 DUALIZE_T2 = ["dualize", "--base", "T2", "--euler", "0", "--flux", "3*vol.z"]
 
 
@@ -188,6 +225,26 @@ def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
     ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": True}),
 ])
 def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
+    _assert_job_refused(tmp_path, capsys, field, job)
+
+
+@pytest.mark.parametrize("field, job", [
+    ("fluxx", {"mode": "dualize", "base": "T2", "fluxx": "3*vol.z"}),
+    ("gen", {"mode": "cohomology", "base": "S2", "gen": "0"}),
+    ("flux", {"mode": "cohomology", "base": "S2", "flux": "3*vol.z"}),
+    ("base", {"mode": "classifying-tables", "space": "R2", "base": "S2"}),
+    ("mode", {"mode": ["dualize"], "base": "T2"}),
+    ("space", {"mode": "classifying-tables", "space": "r3,2"}),
+    ("space", {"mode": "classifying-tables", "space": "r_32"}),
+    ("space", {"mode": "classifying-tables", "space": "e_32"}),
+    ("space", {"mode": "classifying-tables", "space": "r32"}),
+    ("space", {"mode": "classifying-tables", "space": ["R2"]}),
+])
+def test_field_outside_the_mode_exits_2(tmp_path, capsys, field, job):
+    _assert_job_refused(tmp_path, capsys, field, job)
+
+
+def _assert_job_refused(tmp_path, capsys, field, job):
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps({"jobs": [job]}))
     code, out = run_cli(["run", str(path)])
