@@ -329,19 +329,6 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return u, d, v
 
 
-def solve_matrix(m: IntMatrix, y: Sequence[int]) -> Optional[tuple]:
-    """One integer solution x of m @ x = y, or None.
-
-    The solution is the canonical one from the Smith form with all free
-    parameters zero, so it is deterministic.
-    """
-    if len(y) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    u, _, d, v = _snf_with_inverses(m)
-    z = _back_substitute(d, u.vec(y))
-    return None if z is None else v.vec(z)
-
-
 def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
     """from_columns without the check, for columns of computed ints."""
     return IntMatrix._of(rows, len(cols), tuple(zip(*cols)) if cols else ((),) * rows)
@@ -615,19 +602,22 @@ def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
 # kernels, images, cokernels of homomorphisms
 # ---------------------------------------------------------------------------
 
+def _stacked(h: Hom) -> IntMatrix:
+    """[h | codomain relations]: its columns span the lattice of all
+    codomain coordinate vectors that represent elements of im(h)."""
+    return h.matrix.hstack(h.codomain.relations())
+
+
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
-    n = h.codomain.ngens
-    rels = h.matrix.hstack(h.codomain.relations())
-    group, proj, _ = cokernel_presentation(n, rels)
+    group, proj, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
     return group, Hom(h.codomain, group, proj)
 
 
 def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     """Lattice {x in Z^n_dom : h(x) = 0 in the codomain}, as columns."""
     na = h.domain.ngens
-    stacked = h.matrix.hstack(h.codomain.relations())
-    _, _, d, v = _snf_with_inverses(stacked)
+    _, _, d, v = _snf_with_inverses(_stacked(h))
     rank = sum(1 for x in d.diagonal() if x != 0)
     free = IntMatrix._of(na, v.cols - rank, tuple(row[rank:] for row in v.entries[:na]))
     return free.hstack(h.domain.relations())  # relations: always in the kernel
@@ -643,9 +633,8 @@ def kernel(h: Hom) -> tuple[FgGroup, Hom]:
 
 def image(h: Hom) -> tuple[FgGroup, Hom]:
     """im(h) in canonical form with its embedding into the codomain."""
-    nb = h.codomain.ngens
-    gens = h.matrix.hstack(h.codomain.relations())
-    group, reps = sublattice_quotient(nb, gens, h.codomain.relations())
+    group, reps = sublattice_quotient(h.codomain.ngens, _stacked(h),
+                                      h.codomain.relations())
     return group, Hom(group, h.codomain, reps)
 
 
@@ -659,20 +648,26 @@ def is_exact_at(f: Hom, g: Hom) -> bool:
         raise HomError("chain does not compose: codomain(f) != domain(g)")
     if not g.compose(f).is_zero_map():
         return False
-    u, _, d, _ = _snf_with_inverses(f.matrix.hstack(f.codomain.relations()))
+    u, _, d, _ = _snf_with_inverses(_stacked(f))
     return all(_back_substitute(d, u.vec(col)) is not None
                for col in _preimage_of_zero_lattice(g).columns())
+
+
+def _canonical_preimage(h: Hom, d: IntMatrix, v: IntMatrix, uy) -> Optional[tuple]:
+    """Reduced coordinates of the canonical x with h(x) = y, or None: with
+    u, d, v from the Smith form of _stacked(h) and uy = u y, the domain
+    part of v z, every free parameter of z zero."""
+    z = _back_substitute(d, uy)
+    return None if z is None else h.domain.reduce_coords(v.vec(z)[:h.domain.ngens])
 
 
 def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     """One x with h(x) = y, or None; deterministic canonical choice."""
     if y.group != h.codomain:
         raise HomError("target element is not in the codomain")
-    stacked = h.matrix.hstack(h.codomain.relations())
-    sol = solve_matrix(stacked, y.coords)
-    if sol is None:
-        return None
-    return h.domain.element(sol[: h.domain.ngens])
+    u, _, d, v = _snf_with_inverses(_stacked(h))
+    x = _canonical_preimage(h, d, v, u.vec(y.coords))
+    return None if x is None else h.domain.element(x)
 
 
 def section_matrix(h: Hom) -> IntMatrix:
@@ -687,14 +682,10 @@ def section_matrix(h: Hom) -> IntMatrix:
     na, nb = h.domain.ngens, h.codomain.ngens
     if nb == 0:
         return IntMatrix.zeros(na, 0)
-    stacked = h.matrix.hstack(h.codomain.relations())
-    u, _, d, v = _snf_with_inverses(stacked)
-    cols = []
-    for uy in u.columns():
-        z = _back_substitute(d, uy)
-        if z is None:
-            raise HomError("not surjective: a codomain generator has no preimage")
-        cols.append(h.domain.reduce_coords(v.vec(z)[:na]))
+    u, _, d, v = _snf_with_inverses(_stacked(h))
+    cols = [_canonical_preimage(h, d, v, uy) for uy in u.columns()]
+    if None in cols:
+        raise HomError("not surjective: a codomain generator has no preimage")
     return _from_columns(cols, na)
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from typing import Callable, NamedTuple
 
@@ -69,16 +70,25 @@ def parse_class(spec, group, names, field: str) -> GroupElement:
         text = str(spec).strip()
         if text in ("", "0"):
             return group.zero_element()
-        if "*" in text or not all(part.strip().lstrip("+-").isdigit()
-                                  for part in text.split(",")):
+        spec = [_integer(part.strip(), field) for part in text.split(",")]
+        if "*" in text or None in spec:
             return _parse_expression(text, group, names, field)
-        spec = [int(part) for part in text.split(",")]
     if not isinstance(spec, (list, tuple)) or not all(type(c) is int for c in spec):
         raise JobError(f"{field}: coordinates must be integers, got {spec!r}")
     if len(spec) != group.ngens:
         raise JobError(
             f"{field}: expected {group.ngens} coordinates, got {len(spec)}")
     return group.element(spec)
+
+
+def _integer(text: str, field: str):
+    """text as an int, or None if it holds more than signs and digits (of
+    any script) and so is no number; only ASCII [+-]?[0-9]+ is accepted."""
+    if not text or not all(c in "+-" or c.isnumeric() for c in text):
+        return None
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise JobError(f"{field}: {text!r} is not an integer")
+    return int(text)
 
 
 def _parse_expression(text: str, group, names, field: str) -> GroupElement:
@@ -93,9 +103,9 @@ def _parse_expression(text: str, group, names, field: str) -> GroupElement:
         if term.startswith("-"):
             coeff, name = -1, term[1:].strip()
         head, star, tail = name.partition("*")  # p*(g) keeps its own '*'
-        if star and head.strip().isdigit():
-            coeff *= int(head)
-            name = tail.strip()
+        n = _integer(head.strip(), field) if star else None
+        if n is not None:
+            coeff, name = coeff * n, tail.strip()
         if name not in names:
             raise JobError(
                 f"{field}: unknown generator {name!r}; available: {list(names)}")

@@ -18,6 +18,10 @@ sequence alone does not determine the extension.  A zero Euler class
 gives the product bundle, where the split form is exact by the Kunneth
 theorem, so it is never flagged.
 
+In split form im(p*) is the cokernel summand: a class is a pullback iff
+its kernel part vanishes, and `GysinDegree.lift` reads its preimage off
+the stored section (the one rule that lifts b and H in tduality.py).
+
 All maps are fixed as explicit matrices at construction time, and a
 solved total space is immutable, so `total_space_cohomology` shares one
 per bundle and top degree within a process (see there).
@@ -67,12 +71,19 @@ class GysinDegree:
     coker_proj: Hom           # f.codomain -> coker(f), e.g. H^k(W) -> p* image
     coker_sect: IntMatrix     # section_matrix(coker_proj), its section
     ker_incl: Hom             # ker(g) -> g.domain, e.g. p! image -> H^(k-1)(W)
+    into_coker: Hom           # coker(f) -> group, e.g. im(p*) in H^k(E)
     into_ker: Hom             # ker(g) -> group
     onto_coker: Hom           # group -> coker(f)
     onto_ker: Hom             # group -> ker(g)
     pullback: Hom             # f.codomain -> group, p* for a bundle
     pushforward: Hom          # group -> g.domain, p! for a bundle
     ambiguous: bool
+
+    def lift(self, x: GroupElement) -> GroupElement:
+        """The canonical beta whose pullback is the coker(f) part of x, off
+        the stored section; pullback(beta) = x iff onto_ker(x) is zero."""
+        coords = self.coker_sect.vec(self.onto_coker(x).coords)
+        return self.coker_proj.domain.element(coords)
 
 
 def split_degree(f: Hom, g: Hom, f_names, g_names, coker_label, ker_label,
@@ -96,7 +107,8 @@ def split_degree(f: Hom, g: Hom, f_names, g_names, coker_label, ker_label,
     return GysinDegree(
         group=group, names=names,
         coker_proj=coker_proj, coker_sect=coker_sect, ker_incl=ker_incl,
-        into_ker=into_ker, onto_coker=onto_coker, onto_ker=onto_ker,
+        into_coker=into_coker, into_ker=into_ker,
+        onto_coker=onto_coker, onto_ker=onto_ker,
         pullback=into_coker.compose(coker_proj),
         pushforward=ker_incl.compose(onto_ker),
         ambiguous=not (split or kk.is_free() or ck.is_zero()),

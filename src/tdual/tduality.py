@@ -11,6 +11,9 @@ b in H^2(E) and H in H^3(E).  The transform:
     p*(beta); its coset modulo <p* p!(H)> is carried to the coset of
     q*(beta) modulo <q* q!(H#)>.
 
+beta and the base class of H are both read off the stored Gysin degree
+(`GysinDegree.lift`), and im(q*) is the stored cokernel summand of H^3(E#).
+
 The coset quotients H^2(E)/<p* p!(H)> and H^2(E#)/<q* q!(H#)> are
 isomorphic; when the base has vanishing H^1 the isomorphism is realized
 naturally through H^2(W)/<e, e#>, otherwise the two canonical forms are
@@ -29,7 +32,6 @@ from .abelian import (
     Hom,
     HomError,
     hom_inverse,
-    image,
     is_isomorphism,
     quotient_by,
     section_matrix,
@@ -65,10 +67,6 @@ class Triple:
             raise ValueError("b must lie in H^2 of the total space")
         if self.flux.group != self.total.group(3):
             raise ValueError("the flux must lie in H^3 of the total space")
-
-    @property
-    def bundle(self) -> CircleBundle:
-        return self.total.bundle
 
     @property
     def base(self):
@@ -126,24 +124,18 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
     (H#, (ambiguity_subgroup, inclusion)) where the subgroup is im(q*),
     the full indeterminacy of H#.
     """
-    base = t.base
-    e_src = t.euler
-    e_dual = dual_total.euler
     # e cup e# = 0 since e# = p!(H) lies in the kernel of cup-e; this is
     # what makes e a legal value of q! on the dual side.
-    if not base.cup_by(e_dual, 2)(e_src).is_zero():
+    if not t.base.cup_by(dual_total.euler, 2)(t.euler).is_zero():
         raise ExactnessBugError("source Euler class is not killed by cup e#")
-    d3 = t.total.degrees[3]
-    # the canonical solve_hom preimage, read off the stored cokernel section
-    pulled = d3.onto_coker(t.flux).coords
-    beta = d3.coker_proj.domain.element(d3.coker_sect.vec(pulled))
+    beta = t.total.degrees[3].lift(t.flux)
     dd3 = dual_total.degrees[3]
-    x = solve_hom(dd3.ker_incl, e_src)
+    x = solve_hom(dd3.ker_incl, t.euler)
     if x is None:
         raise ExactnessBugError("source Euler class not in the image of q!")
-    hdual = dual_total.pullback(3)(beta) + dd3.into_ker(x)
-    ambiguity = image(dual_total.pullback(3))
-    return hdual, ambiguity
+    hdual = dd3.pullback(beta) + dd3.into_ker(x)
+    # im(q*) is the stored cokernel summand of H^3(E#)
+    return hdual, (dd3.coker_proj.codomain, dd3.into_coker)
 
 
 def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
@@ -188,9 +180,7 @@ def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
     example the transform covers, and the identity on canonical
     generators witnesses the abstract isomorphism.
     """
-    base = t.base
-    w2 = base.group(2)
-    qw, projw = quotient_by(w2, [t.euler, dual_total.euler])
+    qw, projw = quotient_by(t.base.group(2), [t.euler, dual_total.euler])
     sect = section_matrix(projw)
     # the maps induced on qw: each composite kills <e, e#>
     p_bar = Hom(qw, source_coset.quotient, source_coset.projection.matrix
@@ -216,12 +206,12 @@ def dualize(t: Triple) -> DualityReport:
     dual_total = total_space_cohomology(CircleBundle(base, e_dual), t.total.top)
     hdual, ambiguity = dual_flux(t, dual_total)
 
-    beta_b = solve_hom(t.total.pullback(2), t.b)
-    if beta_b is None:
+    d2 = t.total.degrees[2]
+    if not d2.onto_ker(t.b).is_zero():
         raise BNotLiftableError(
             "b is not a pullback from the base; the coset transport is not "
             "defined for it")
-    b_dual = dual_total.pullback(2)(beta_b)
+    b_dual = dual_total.pullback(2)(d2.lift(t.b))
 
     gen_src = t.total.pullback(2)(e_dual)      # p* p!(H)
     gen_dst = dual_total.pullback(2)(e_src)    # q* q!(H#)
@@ -262,11 +252,6 @@ def verify_coset_isomorphism(source: Triple, report: DualityReport) -> bool:
     q_src, _ = quotient_by(source.total.group(2), [gen_src])
     gen_dst = report.dual.total.pullback(2)(source.euler)
     q_dst, _ = quotient_by(report.dual.total.group(2), [gen_dst])
-    if q_src != q_dst:
-        return False
     iso = report.coset_iso
-    if iso is None:
-        return False
-    if iso.domain != q_src or iso.codomain != q_dst:
-        return False
-    return is_isomorphism(iso)
+    return (q_src == q_dst and iso is not None and iso.domain == q_src
+            and iso.codomain == q_dst and is_isomorphism(iso))

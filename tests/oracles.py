@@ -20,11 +20,12 @@ from tdual.abelian import (
     ZERO_GROUP,
     Hom,
     IntMatrix,
+    _back_substitute,
     _preimage_of_zero_lattice,
+    _snf_with_inverses,
     cokernel,
     kernel,
     solve_hom,
-    solve_matrix,
 )
 from tdual.spaces import GradedCohomology, sum_named
 
@@ -264,6 +265,12 @@ def per_element_preimages(h, elements):
     return out
 
 
+def pullback_preimage(tsc, k, x):
+    """solve_hom(tsc.pullback(k), x): a preimage of x under p* in degree
+    k, or None when x is not a pullback; one Smith form per element."""
+    return solve_hom(tsc.pullback(k), x)
+
+
 # ---------------------------------------------------------------------------
 # injectivity and exactness, one Smith form per lattice column
 # ---------------------------------------------------------------------------
@@ -273,7 +280,8 @@ def is_injective(h):
 
 
 def lattice_contains(lattice, vector):
-    return solve_matrix(lattice, vector) is not None
+    u, _, d, _ = _snf_with_inverses(lattice)
+    return _back_substitute(d, u.vec(vector)) is not None
 
 
 def lattices_equal(a, b):

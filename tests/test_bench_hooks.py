@@ -8,13 +8,16 @@ module calling the one shared total_space_cohomology, and on each
 degree being built by TotalSpaceCohomology._build_degree, so that
 gysin.build_degree counts real builds and not cache hits.  It counts
 enumerated cosets as len(coset_partition(...).representatives) and
-report bytes as len(report.emit_json(doc)).
+report bytes as len(report.emit_json(doc)).  The coverage jobs count
+Smith forms by the code object of abelian._snf_with_inverses, so it must
+stay a plain function.
 """
 
 import sys
+import types
 from pathlib import Path
 
-from tdual import classifying, cli, gysin, report, tduality
+from tdual import abelian, classifying, cli, gysin, report, tduality
 from tdual.abelian import IntMatrix
 from tdual.spaces import cohomology_of, parse_space
 
@@ -35,6 +38,15 @@ def test_every_traced_target_exists(monkeypatch):
     out = getattr(owner, attr)(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert all(isinstance(m, IntMatrix) for m in out)
     assert tracing._max_bits(out) > 0
+
+
+def test_the_smith_form_is_a_plain_function():
+    """bench/tracing.py reads original.__code__ of the SNF; a cache such as
+    functools.lru_cache around it has none, and every traced run would
+    crash before it measured anything."""
+    snf = abelian._snf_with_inverses
+    assert isinstance(snf, types.FunctionType)
+    assert isinstance(snf.__code__, types.CodeType)
 
 
 def test_every_module_binds_the_shared_total_space_cohomology():

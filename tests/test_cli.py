@@ -223,6 +223,10 @@ def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
              "gen": [[1]]}),
     ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": 1.5}),
     ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": True}),
+    ("euler", {"mode": "cohomology", "base": "S2", "euler": "--3"}),
+    ("euler", {"mode": "cohomology", "base": "S2", "euler": "+-2"}),
+    ("euler", {"mode": "cohomology", "base": "S2", "euler": "\u00b2*vol"}),
+    ("euler", {"mode": "cohomology", "base": "S2", "euler": "\u0663"}),
 ])
 def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
     _assert_job_refused(tmp_path, capsys, field, job)
