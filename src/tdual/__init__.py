@@ -19,7 +19,6 @@ from .abelian import (
     Hom,
     IntMatrix,
     cokernel,
-    element_order,
     image,
     is_exact_at,
     kernel,
@@ -53,7 +52,6 @@ from .tduality import (
     dual_euler,
     dual_flux,
     dualize,
-    make_triple,
     verify_coset_isomorphism,
 )
 
@@ -62,11 +60,10 @@ __version__ = "0.1.0"
 __all__ = [
     "FgGroup", "GroupElement", "Hom", "IntMatrix",
     "smith_normal_form", "kernel", "image", "cokernel", "is_exact_at",
-    "element_order",
     "CatalogSpace", "GradedCohomology", "parse_space", "cohomology_of",
     "CircleBundle", "TotalSpaceCohomology", "total_space_cohomology",
     "exactness_audit",
-    "Triple", "DualityReport", "make_triple", "dualize", "dual_euler",
+    "Triple", "DualityReport", "dualize", "dual_euler",
     "dual_flux", "coset_partition", "verify_coset_isomorphism",
     "ZAction", "MappingTorusData",
     "mapping_torus_cohomology", "homotopy_tables",

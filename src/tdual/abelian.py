@@ -18,7 +18,6 @@ which keeps maps into and out of the zero group honest.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 from operator import add, mul
 from typing import Optional, Sequence
 
@@ -468,18 +467,6 @@ class GroupElement:
 
     def scale(self, n: int) -> "GroupElement":
         return self.group.element([n * a for a in self.coords])
-
-
-def element_order(x: GroupElement) -> int:
-    """Least n >= 1 with n*x = 0; 0 encodes infinite order."""
-    r = x.group.free_rank
-    if any(c != 0 for c in x.coords[:r]):
-        return 0
-    n = 1
-    for c, d in zip(x.coords[r:], x.group.torsion):
-        if c != 0:
-            n = lcm(n, d // gcd(c, d))
-    return n
 
 
 # ---------------------------------------------------------------------------

@@ -88,24 +88,32 @@ def _integer(text: str, field: str):
         return None
     if not re.fullmatch(r"[+-]?[0-9]+", text):
         raise JobError(f"{field}: {text!r} is not an integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's digit limit
+        raise JobError(
+            f"{field}: an integer of {len(text.lstrip('+-'))} digits exceeds "
+            f"the limit of {sys.get_int_max_str_digits()} digits") from None
 
 
 def _parse_expression(text: str, group, names, field: str) -> GroupElement:
     """A sum of optionally scaled generator names, such as '2*u + v - t'."""
     coords = [0] * group.ngens
-    for term in text.replace("-", "+-").split("+"):
-        term = term.strip()
-        if not term:
-            continue
+    terms = text.removeprefix("+").replace("-", "+-").split("+")
+    for term, after in zip(terms, terms[1:] + [""]):
+        if not term.strip() and after.startswith("-"):
+            continue  # the start of '-x' or the '+' of '+ -x'
         coeff = 1
-        name = term
-        if term.startswith("-"):
-            coeff, name = -1, term[1:].strip()
+        name = term.strip()
+        if name.startswith("-"):
+            coeff, name = -1, name[1:].strip()
         head, star, tail = name.partition("*")  # p*(g) keeps its own '*'
         n = _integer(head.strip(), field) if star else None
         if n is not None:
             coeff, name = coeff * n, tail.strip()
+        if not name:
+            raise JobError(f"{field}: malformed expression {text!r}: "
+                           f"a term names no generator")
         if name not in names:
             raise JobError(
                 f"{field}: unknown generator {name!r}; available: {list(names)}")

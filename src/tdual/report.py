@@ -10,6 +10,7 @@ trips are stable.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .abelian import FgGroup, Hom, IntMatrix
@@ -50,7 +51,7 @@ def total_space_json(tsc) -> dict:
 
 def emit_json(doc: dict) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a
-    newline, with each list of plain ints joined at once; str keys only."""
+    newline, writing int lists and int-row lists at once; str keys only."""
     return _json(doc, "\n") + "\n"
 
 
@@ -67,6 +68,13 @@ def _json(value, nl: str) -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if all(type(x) is int for x in value):  # not bool, which prints true
         items = map(str, value)
+    elif (type(value[0]) is list and set(map(type, value)) == {list}
+          and len(set(map(len, value))) == 1   # empty rows fail the next test
+          and set(map(type, chain.from_iterable(value))) == {int}):
+        inner2 = inner + "  "
+        row = ("[" + inner2 + ("," + inner2).join(["%d"] * len(value[0]))
+               + inner + "]")
+        items = [row % tuple(x) for x in value]
     else:
         items = [_json(x, inner) for x in value]
     return "[" + inner + ("," + inner).join(items) + nl + "]"

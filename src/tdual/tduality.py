@@ -77,15 +77,6 @@ class Triple:
         return self.total.euler
 
 
-def make_triple(base, euler_coords, b_coords, flux_coords,
-                max_degree: Optional[int] = None) -> Triple:
-    e = base.group(2).element(euler_coords)
-    total = total_space_cohomology(CircleBundle(base, e), max_degree)
-    return Triple(total,
-                  total.group(2).element(b_coords),
-                  total.group(3).element(flux_coords))
-
-
 @dataclass(frozen=True)
 class CosetData:
     """A coset b + <gen> inside H^2 of a total space."""
@@ -154,12 +145,17 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
     quotient, proj = quotient_by(h2, [gen])
     reps = None
     if quotient.is_finite() and quotient.order() <= ENUMERATION_CAP:
-        # the lifts sum_i q_i s_i, q in itertools.product order
-        lifts = [(0,) * h2.ngens]
-        for col, d in zip(section_matrix(proj).columns(), quotient.torsion):
-            lifts = [tuple(a + k * c for a, c in zip(x, col))
-                     for x in lifts for k in range(d)]
-        reps = tuple(map(h2.reduce_coords, lifts))
+        # the lifts sum_i q_i s_i, q in itertools.product order, built one
+        # coordinate at a time from its row of the section and reduced
+        # modulo its torsion order
+        coords = []
+        for row, t in zip(section_matrix(proj).entries,
+                          (0,) * h2.free_rank + h2.torsion):
+            vals = [0]
+            for c, d in zip(row, quotient.torsion):
+                vals = [v + k * c for v in vals for k in range(d)]
+            coords.append([v % t for v in vals] if t else vals)
+        reps = tuple(zip(*coords)) if coords else ((),) * quotient.order()
     return CosetData(
         subgroup_generator=gen,
         representative=representative,

@@ -1,20 +1,21 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Apart from the last four sections, nothing in here uses the package's
+Apart from the last six sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
 (gcds of k x k minors), determinants from fraction-free elimination, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
-The last four sections use package code: the per-element solving path
+The last six sections use package code: the per-element solving path
 (one Smith form per element or lattice column) that batched code must
-match, the invariants and coinvariants of a deck action, and the circle
-Kunneth product built from the package's direct sums.
+match, the per-coset lifts that coset enumeration must match, the
+invariants and coinvariants of a deck action, the circle Kunneth product
+built from the package's direct sums, and triples built from coordinates.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from tdual.abelian import (
     ZERO_GROUP,
@@ -27,7 +28,9 @@ from tdual.abelian import (
     kernel,
     solve_hom,
 )
+from tdual.gysin import CircleBundle, total_space_cohomology
 from tdual.spaces import GradedCohomology, sum_named
+from tdual.tduality import Triple
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +251,19 @@ def all_group_moduli_up_to(max_order):
 # per-element preimages (one solve_hom, hence one Smith form, per element)
 # ---------------------------------------------------------------------------
 
+def element_order(x):
+    """Least n >= 1 with n*x = 0 for a GroupElement x; 0 encodes infinite
+    order."""
+    r = x.group.free_rank
+    if any(c != 0 for c in x.coords[:r]):
+        return 0
+    n = 1
+    for c, d in zip(x.coords[r:], x.group.torsion):
+        if c != 0:
+            n = lcm(n, d // gcd(c, d))
+    return n
+
+
 def group_elements(group):
     """Every element of a finite FgGroup, in itertools.product order."""
     if group.free_rank:
@@ -269,6 +285,21 @@ def pullback_preimage(tsc, k, x):
     """solve_hom(tsc.pullback(k), x): a preimage of x under p* in degree
     k, or None when x is not a pullback; one Smith form per element."""
     return solve_hom(tsc.pullback(k), x)
+
+
+# ---------------------------------------------------------------------------
+# per-coset lifts (one reduce_coords call per coset; uses package code)
+# ---------------------------------------------------------------------------
+
+def coset_lifts(section, quotient, ambient):
+    """The lift sum_i q_i s_i of every element q of the finite quotient, in
+    itertools.product order, each reduced in the ambient group: s_i is
+    column i of the section matrix."""
+    cols = section.columns()
+    return tuple(
+        ambient.reduce_coords([sum(q * col[j] for q, col in zip(qs, cols))
+                               for j in range(ambient.ngens)])
+        for qs in product(*[range(d) for d in quotient.torsion]))
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +413,17 @@ def kunneth_with_circle(w: GradedCohomology) -> GradedCohomology:
         cup_gens=cup_table,
         simply_connected=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# triples from coordinates (uses package code)
+# ---------------------------------------------------------------------------
+
+def make_triple(base, euler_coords, b_coords, flux_coords, max_degree=None):
+    """The triple over the cohomology `base` with the Euler class, b and
+    flux given as coordinate lists."""
+    e = base.group(2).element(euler_coords)
+    total = total_space_cohomology(CircleBundle(base, e), max_degree)
+    return Triple(total,
+                  total.group(2).element(b_coords),
+                  total.group(3).element(flux_coords))

@@ -11,7 +11,6 @@ from tdual.abelian import (
     ZERO_GROUP,
     cokernel,
     direct_sum,
-    element_order,
     hom_inverse,
     image,
     is_exact_at,
@@ -25,7 +24,7 @@ from tdual.abelian import (
 )
 
 from . import oracles
-from .oracles import determinant
+from .oracles import determinant, element_order
 
 
 def snf_ok(m: IntMatrix):

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -35,6 +36,7 @@ def test_parse_class_forms():
     assert parse_class("1,2,1", g, names, "x").coords == (1, 2, 1)
     assert parse_class("2*u + v - t", g, names, "x").coords == (2, 1, 2)
     assert parse_class("3*t", g, names, "x").coords == (0, 0, 0)
+    assert parse_class("-u + -2*v", g, names, "x").coords == (-1, -2, 0)
     with pytest.raises(JobError):
         parse_class("1,2", g, names, "x")
     with pytest.raises(JobError):
@@ -248,7 +250,25 @@ def test_field_outside_the_mode_exits_2(tmp_path, capsys, field, job):
     _assert_job_refused(tmp_path, capsys, field, job)
 
 
+@pytest.mark.parametrize("euler", ["vol + + vol", "3*", "2*vol --3*vol"])
+def test_malformed_expression_exits_2(tmp_path, capsys, euler):
+    job = {"mode": "cohomology", "base": "S2", "euler": euler}
+    err = _assert_job_refused(tmp_path, capsys, "euler", job)
+    assert f"malformed expression {euler!r}" in err
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("euler", ["9" * 5000, "9" * 5000 + "*vol"])
+def test_integer_past_the_digit_limit_exits_2(tmp_path, capsys, euler):
+    job = {"mode": "cohomology", "base": "S2", "euler": euler}
+    err = _assert_job_refused(tmp_path, capsys, "euler", job)
+    assert f"the limit of {sys.get_int_max_str_digits()} digits" in err
+
+
 def _assert_job_refused(tmp_path, capsys, field, job):
+    """Run job from a job file, check it exits 2 with one error line that
+    names field, and return that line."""
     path = tmp_path / "jobs.json"
     path.write_text(json.dumps({"jobs": [job]}))
     code, out = run_cli(["run", str(path)])
@@ -256,6 +276,7 @@ def _assert_job_refused(tmp_path, capsys, field, job):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}: ") and err.count("\n") == 1
     assert "unknown generator" not in err
+    return err
 
 
 def test_base_must_be_a_name():

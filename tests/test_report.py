@@ -1,7 +1,7 @@
 """The report JSON writer must give exactly json.dumps' bytes.
 
-emit_json joins int lists itself instead of calling the indenting
-encoder, so its output is compared with
+emit_json joins int lists and formats lists of int rows itself instead
+of calling the indenting encoder, so its output is compared with
 json.dumps(doc, sort_keys=True, indent=2) + "\\n" over drawn report-shaped
 values and over the reports of every catalog base.
 """
@@ -32,8 +32,15 @@ ints = st.one_of(st.integers(-10, 10), st.integers(),
 # int lists, with bools mixed in (they must stay true/false, not 1/0)
 int_lists = st.lists(st.one_of(ints, st.booleans()))
 scalars = st.one_of(st.none(), st.booleans(), ints, texts)
+# lists of equal-length int rows, which are written one row format each,
+# and row lists that must not be: ragged, with an empty, bool or tuple row
+int_rows = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(ints, min_size=n, max_size=n), min_size=1, max_size=5))
+other_rows = st.lists(st.one_of(
+    st.lists(st.one_of(ints, st.booleans()), max_size=3),
+    st.tuples(ints, ints)), min_size=1, max_size=5)
 report_values = st.recursive(
-    st.one_of(scalars, int_lists),
+    st.one_of(scalars, int_lists, int_rows, other_rows),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.dictionaries(texts, inner, max_size=4)),
     max_leaves=20)
@@ -43,6 +50,12 @@ report_values = st.recursive(
 @given(report_values)
 @example({"a": [1, True, 0], "b": [], "c": {}, "d": [[], {}, [2 ** 70, -1]]})
 @example({"k\"\\\x01é": "v\"\\\n☃", "": None, "flags": [False]})
+@example([[2 ** 80, -(2 ** 80), 0], [1, -1, 2 ** 79]])
+@example([[1, 2], [3]])                 # ragged
+@example([[], []])                      # empty rows
+@example([[1, True], [2, 3]])           # a bool entry
+@example([[1, 2], (3, 4)])              # a tuple row
+@example([[1, 2], {"a": [[3, 4]]}])     # rows mixed with a dict
 def test_emit_json_equals_json_dumps(doc):
     assert emit_json(doc) == reference(doc)
 

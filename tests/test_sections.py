@@ -229,6 +229,9 @@ def test_section_matrix_matches_per_element_solves(h):
 
 @settings(max_examples=200, deadline=None)
 @given(ambient_and_generator())
+@example((FgGroup(0), FgGroup(0).zero_element()))        # H^2 = 0
+@example((FgGroup(0, (6,)), FgGroup(0, (6,)).element([5])))  # gen spans H^2
+@example((FgGroup(1, (4,)), FgGroup(1, (4,)).element([2, 1])))  # free part
 def test_coset_representatives_are_per_element_preimages(case):
     ambient, gen = case
     quotient, proj = quotient_by(ambient, [gen])
@@ -240,6 +243,18 @@ def test_coset_representatives_are_per_element_preimages(case):
         want = oracles.per_element_preimages(
             proj, oracles.group_elements(quotient))
         assert part.representatives == tuple(x.coords for x in want)
+
+
+@pytest.mark.parametrize("ambient, gen", [
+    (FgGroup(1, (8, 8, 8)), (1, 3, 5, 7)),   # quotient Z/8 + Z/8 + Z/8
+    (FgGroup(0, (16, 16, 16)), (2, 4, 6)),   # quotient Z/2 + Z/16 + Z/16
+])
+def test_coset_lifts_at_the_enumeration_cap_match_per_coset_lifts(ambient, gen):
+    part = coset_partition(_H2Only(ambient), ambient.element(gen))
+    assert len(part.quotient.torsion) == 3
+    assert part.quotient.order() == ENUMERATION_CAP
+    assert part.representatives == oracles.coset_lifts(
+        section_matrix(part.projection), part.quotient, ambient)
 
 
 def test_section_matrix_rejects_a_non_surjection():

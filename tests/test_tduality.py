@@ -12,9 +12,10 @@ from tdual.tduality import (
     dual_euler,
     dual_flux,
     dualize,
-    make_triple,
     verify_coset_isomorphism,
 )
+
+from .oracles import make_triple
 
 Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))
