@@ -37,6 +37,7 @@ def test_parse_class_forms():
     assert parse_class("2*u + v - t", g, names, "x").coords == (2, 1, 2)
     assert parse_class("3*t", g, names, "x").coords == (0, 0, 0)
     assert parse_class("-u + -2*v", g, names, "x").coords == (-1, -2, 0)
+    assert parse_class("+u - 2*v", g, names, "x").coords == (1, -2, 0)
     with pytest.raises(JobError):
         parse_class("1,2", g, names, "x")
     with pytest.raises(JobError):
