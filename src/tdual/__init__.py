@@ -19,7 +19,6 @@ from .abelian import (
     Hom,
     IntMatrix,
     cokernel,
-    image,
     is_exact_at,
     kernel,
     smith_normal_form,
@@ -27,10 +26,7 @@ from .abelian import (
 from .classifying import (
     MappingTorusData,
     ZAction,
-    homotopy_tables,
     mapping_torus_cohomology,
-    t32_cohomology_action,
-    unbased_classes_over_sphere,
     universal_bundle_tables,
 )
 from .gysin import (
@@ -59,14 +55,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "FgGroup", "GroupElement", "Hom", "IntMatrix",
-    "smith_normal_form", "kernel", "image", "cokernel", "is_exact_at",
+    "smith_normal_form", "kernel", "cokernel", "is_exact_at",
     "CatalogSpace", "GradedCohomology", "parse_space", "cohomology_of",
     "CircleBundle", "TotalSpaceCohomology", "total_space_cohomology",
     "exactness_audit",
     "Triple", "DualityReport", "dualize", "dual_euler",
     "dual_flux", "coset_partition", "verify_coset_isomorphism",
     "ZAction", "MappingTorusData",
-    "mapping_torus_cohomology", "homotopy_tables",
-    "universal_bundle_tables", "t32_cohomology_action",
-    "unbased_classes_over_sphere",
+    "mapping_torus_cohomology", "universal_bundle_tables",
 ]

@@ -140,54 +140,21 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
         ambiguous=tuple(n for n, d in enumerate(degrees) if d.ambiguous))
 
 
-def r2_mapping_torus_data() -> MappingTorusData:
+def r2_cohomology_computed() -> MappingTorusCohomology:
     cover = fixtures.r2_cover()
-    return MappingTorusData(cover, {
+    return mapping_torus_cohomology(MappingTorusData(cover, {
         0: ZAction.trivial(cover.group(0)),
         2: ZAction.from_matrix(cover.group(2), fixtures.R2_PI2_ACTION),
-    }, circle_class="a")
-
-
-def r32_mapping_torus_data() -> MappingTorusData:
-    cover = fixtures.r32_cover()
-    return MappingTorusData(cover, {
-        0: ZAction.trivial(cover.group(0)),
-        2: ZAction.from_matrix(cover.group(2), fixtures.R32_DEGREE2_ACTION),
-        4: ZAction.from_matrix(cover.group(4), fixtures.R32_DEGREE4_ACTION),
-    }, circle_class="l")
-
-
-def r2_cohomology_computed() -> MappingTorusCohomology:
-    return mapping_torus_cohomology(r2_mapping_torus_data())
+    }, circle_class="a"))
 
 
 def r32_cohomology_computed() -> MappingTorusCohomology:
-    return mapping_torus_cohomology(r32_mapping_torus_data())
-
-
-# ---------------------------------------------------------------------------
-# homotopy tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HomotopyTables:
-    r2: dict               # degree -> FgGroup (zero beyond listed)
-    r2_pi2_action: IntMatrix
-    r32: dict
-    r32_pi2_action: IntMatrix
-
-    def pi(self, space: str, i: int) -> FgGroup:
-        table = {"R2": self.r2, "R32": self.r32}[space]
-        return table.get(i, ZERO_GROUP)
-
-
-def homotopy_tables() -> HomotopyTables:
-    return HomotopyTables(
-        r2=dict(fixtures.R2_HOMOTOPY),
-        r2_pi2_action=fixtures.R2_PI2_ACTION,
-        r32=dict(fixtures.R32_HOMOTOPY),
-        r32_pi2_action=fixtures.R32_PI2_ACTION,
-    )
+    cover = fixtures.r32_cover()
+    return mapping_torus_cohomology(MappingTorusData(cover, {
+        0: ZAction.trivial(cover.group(0)),
+        2: ZAction.from_matrix(cover.group(2), fixtures.R32_DEGREE2_ACTION),
+        4: ZAction.from_matrix(cover.group(4), fixtures.R32_DEGREE4_ACTION),
+    }, circle_class="l"))
 
 
 # ---------------------------------------------------------------------------
@@ -261,50 +228,3 @@ def universal_bundle_tables() -> UniversalBundles:
         hat_tsc, fixtures.E32_HAT_GROUPS, fixtures.E32_HAT_NAMES,
         fixtures.E32_HAT_PUSHFORWARD, fixtures.E32_HAT_PULLBACK_PREIMAGE, r32)
     return UniversalBundles(e32=e32, e32_hat=e32_hat)
-
-
-# ---------------------------------------------------------------------------
-# the T-duality self-map on cohomology
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class T32Action:
-    on_r32: dict           # degree -> IntMatrix in the reference basis
-    on_bundles: dict       # E32 generator name -> E32^ name or None (zero)
-
-    def matrix(self, degree: int) -> IntMatrix:
-        return self.on_r32[degree]
-
-
-def t32_cohomology_action() -> T32Action:
-    return T32Action(on_r32=dict(fixtures.T32_ON_R32),
-                     on_bundles=dict(fixtures.T32_ON_BUNDLES))
-
-
-# ---------------------------------------------------------------------------
-# orbits of unipotent actions (unbased classes over the two-sphere)
-# ---------------------------------------------------------------------------
-
-def unbased_classes_over_sphere(action: ZAction,
-                                element: GroupElement) -> GroupElement:
-    """Canonical representative of the orbit of `element` under the action.
-
-    Requires a free group and (theta - 1)^2 = 0, which covers the deck
-    actions appearing here.  The orbit is {v + k*w} for w = (theta - 1)v;
-    the representative normalizes the first moving coordinate into
-    [0, |shift|).
-    """
-    if element.group != action.group:
-        raise ValueError("element does not live in the acted-on group")
-    if not action.group.is_free():
-        raise ValueError("orbit normal form implemented for free groups only")
-    shift = action.shift()
-    if not shift.compose(shift).is_zero_map():
-        raise ValueError("orbit normal form needs (theta - 1)^2 = 0")
-    w = shift(element)
-    if w.is_zero():
-        return element
-    i = next(idx for idx, c in enumerate(w.coords) if c != 0)
-    m = abs(w.coords[i])
-    k = ((element.coords[i] % m) - element.coords[i]) // w.coords[i]
-    return element + w.scale(k)

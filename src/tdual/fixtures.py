@@ -120,10 +120,6 @@ R32_NAMES = (("1",), ("l",), ("a1", "a2"), ("a2l",), ("a1^2", "a2^2", "x"))
 
 R2_GROUPS = (Z, Z, Z, Z)
 
-# generator pairs whose cup product vanishes, (degree-2 class, other class)
-R2_VANISHING_PRODUCTS = (("b", "a"),)
-R32_VANISHING_PRODUCTS = (("a1", "a2"), ("a1", "l"))
-
 # ---------------------------------------------------------------------------
 # pinned cohomology of the canonical bundle and its dual
 # ---------------------------------------------------------------------------
@@ -144,7 +140,9 @@ E32_HAT_PULLBACK_PREIMAGE = {"yhat": "l", "phat*(a1)": "a1"}
 # the self-map exchanging the two bundle classes
 # ---------------------------------------------------------------------------
 
-# matrices on H^*(R32) in the basis order of R32_NAMES, column convention
+# matrices on H^*(R32) in the basis order of R32_NAMES, column convention;
+# on the bundles, T32 acts as dualize does on the universal triple
+# (E32, 0, h): tests/test_classifying.py checks that against the paper
 T32_ON_R32 = {
     0: IntMatrix.from_rows([[1]]),
     1: IntMatrix.from_rows([[0]]),            # l -> 0
@@ -152,12 +150,3 @@ T32_ON_R32 = {
     3: IntMatrix.from_rows([[0]]),            # a2l -> 0
 }
 
-# generator images on the bundle level, H^*(E32) -> H^*(E32^);
-# None means zero.  The image of b itself is known only up to an
-# undetermined multiple of phat*(a1) and is deliberately not listed.
-T32_ON_BUNDLES = {
-    "y": None,
-    "p*(a2)": "phat*(a1)",
-    "p*(a2l)": None,
-    "h": "hhat",
-}

@@ -1,15 +1,16 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Apart from the last six sections, nothing in here uses the package's
+Apart from the last seven sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
 (gcds of k x k minors), determinants from fraction-free elimination, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
-The last six sections use package code: the per-element solving path
+The last seven sections use package code: the per-element solving path
 (one Smith form per element or lattice column) that batched code must
 match, the per-coset lifts that coset enumeration must match, the
-invariants and coinvariants of a deck action, the circle Kunneth product
-built from the package's direct sums, and triples built from coordinates.
+invariants and coinvariants of a deck action, the orbit normal form of a
+unipotent deck action, the circle Kunneth product built from the
+package's direct sums, and triples built from coordinates.
 """
 
 from __future__ import annotations
@@ -340,6 +341,36 @@ def z_group_cohomology(action):
     h0, incl = kernel(shift)
     h1, proj = cokernel(shift)
     return (h0, incl), (h1, proj)
+
+
+# ---------------------------------------------------------------------------
+# orbits of unipotent actions: unbased classes over the two-sphere (uses
+# package code)
+# ---------------------------------------------------------------------------
+
+def unbased_classes_over_sphere(action, element):
+    """Canonical representative of the orbit of `element` under a
+    classifying.ZAction.
+
+    Requires a free group and (theta - 1)^2 = 0, which covers the deck
+    actions of the classifying spaces.  The orbit is {v + k*w} for
+    w = (theta - 1)v; the representative normalizes the first moving
+    coordinate into [0, |shift|).
+    """
+    if element.group != action.group:
+        raise ValueError("element does not live in the acted-on group")
+    if not action.group.is_free():
+        raise ValueError("orbit normal form implemented for free groups only")
+    shift = action.shift()
+    if not shift.compose(shift).is_zero_map():
+        raise ValueError("orbit normal form needs (theta - 1)^2 = 0")
+    w = shift(element)
+    if w.is_zero():
+        return element
+    i = next(idx for idx, c in enumerate(w.coords) if c != 0)
+    m = abs(w.coords[i])
+    k = ((element.coords[i] % m) - element.coords[i]) // w.coords[i]
+    return element + w.scale(k)
 
 
 # ---------------------------------------------------------------------------

@@ -30,11 +30,8 @@ from tdual.abelian import (
 )
 from tdual.classifying import (
     ZAction,
-    homotopy_tables,
     r2_cohomology_computed,
     r32_cohomology_computed,
-    t32_cohomology_action,
-    unbased_classes_over_sphere,
     universal_bundle_tables,
 )
 from tdual.gysin import CircleBundle, exactness_audit, total_space_cohomology
@@ -47,7 +44,12 @@ from tdual.tduality import (
 )
 
 from . import oracles
-from .oracles import determinant, kunneth_with_circle
+from .oracles import (
+    determinant,
+    kunneth_with_circle,
+    unbased_classes_over_sphere,
+)
+from .test_classifying import homotopy_report
 
 Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))
@@ -211,12 +213,9 @@ def test_criterion_2_r2_tables():
     out = r2_cohomology_computed()
     assert tuple(out.table.groups) == fixtures.R2_GROUPS == (Z, Z, Z, Z)
     assert out.ambiguous == ()
-    tables = homotopy_tables()
-    assert tables.pi("R2", 1) == Z
-    assert tables.pi("R2", 2) == FgGroup(2)
-    assert tables.pi("R2", 3) == ZERO_GROUP
-    assert tables.pi("R2", 4) == ZERO_GROUP
-    assert tables.r2_pi2_action.entries == ((1, 1), (0, 1))
+    tables = homotopy_report()
+    assert tables["r2"] == {1: (1, []), 2: (2, []), 3: (0, []), 4: (0, [])}
+    assert tables["r2_pi2_action"]["entries"] == [[1, 1], [0, 1]]
     note(2, "PASS", "H^0..H^3(R2) = (Z, Z, Z, Z); homotopy table matches")
 
 
@@ -262,11 +261,8 @@ def test_criterion_3_r32_tables_agree_outside_degree_3():
         got = {alias.get(n, n) for n in t.names[k]}
         assert got == set(fixtures.R32_NAMES[k])
     assert t.group(3) == FgGroup(2)  # the forced rank-2 value
-    tables = homotopy_tables()
-    assert tables.pi("R32", 1) == Z
-    assert tables.pi("R32", 2) == FgGroup(3)
-    assert tables.pi("R32", 3) == Z
-    assert tables.pi("R32", 5) == ZERO_GROUP
+    tables = homotopy_report()
+    assert tables["r32"] == {1: (1, []), 2: (3, []), 3: (1, []), 4: (0, [])}
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +295,8 @@ def test_criterion_4_universal_bundles():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_non_involutivity():
-    act = t32_cohomology_action()
-    squared = {k: act.matrix(k) @ act.matrix(k) for k in (1, 2, 3)}
+    t32 = fixtures.T32_ON_R32
+    squared = {k: t32[k] @ t32[k] for k in (1, 2, 3)}
     assert squared[1].is_zero()   # kills l
     assert squared[3].is_zero()   # kills a2l
     assert squared[2].entries == ((1, 0), (0, 1))

@@ -3,21 +3,21 @@ import random
 import pytest
 
 from tdual import fixtures
-from tdual.abelian import FgGroup, IntMatrix, ZERO_GROUP
+from tdual.abelian import FgGroup, Hom, IntMatrix
 from tdual.classifying import (
     MappingTorusData,
     ZAction,
-    homotopy_tables,
     mapping_torus_cohomology,
     r2_cohomology_computed,
     r32_cohomology_computed,
-    t32_cohomology_action,
-    unbased_classes_over_sphere,
     universal_bundle_tables,
 )
+from tdual.cli import run_job
 from tdual.gysin import CircleBundle, total_space_cohomology
+from tdual.tduality import BNotLiftableError, Triple, dualize
 
 from . import oracles
+from .oracles import unbased_classes_over_sphere
 
 Z = FgGroup(1)
 
@@ -135,16 +135,22 @@ def test_missing_action_errors():
 # homotopy tables
 # ---------------------------------------------------------------------------
 
+def homotopy_report() -> dict:
+    """The `homotopy` classifying-tables report, with each pi_i as
+    (rank, torsion)."""
+    doc = run_job({"mode": "classifying-tables", "space": "homotopy"})
+    for space in ("r2", "r32"):
+        doc[space] = {int(i): (g["rank"], g["torsion"])
+                      for i, g in doc[space].items()}
+    return doc
+
+
 def test_homotopy_tables():
-    t = homotopy_tables()
-    assert t.pi("R2", 1) == Z
-    assert t.pi("R2", 2) == FgGroup(2)
-    assert t.pi("R2", 3) == ZERO_GROUP
-    assert t.pi("R32", 2) == FgGroup(3)
-    assert t.pi("R32", 3) == Z
-    assert t.pi("R32", 5) == ZERO_GROUP
-    assert t.r2_pi2_action.entries == ((1, 1), (0, 1))
-    assert t.r32_pi2_action.entries == ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+    t = homotopy_report()
+    assert t["r2"] == {1: (1, []), 2: (2, []), 3: (0, []), 4: (0, [])}
+    assert t["r32"] == {1: (1, []), 2: (3, []), 3: (1, []), 4: (0, [])}
+    assert t["r2_pi2_action"]["entries"] == [[1, 1], [0, 1]]
+    assert t["r32_pi2_action"]["entries"] == [[1, 0, 1], [0, 1, 0], [0, 0, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +233,9 @@ def test_universal_bundle_tables_pass_self_test():
 def test_relation_annotations_match_the_cup_data():
     # annotations (e, x) mean e cup x = 0; they must name real generators
     # and agree with the stored cup matrices
-    for table, rels in ((fixtures.r2_cohomology(), fixtures.R2_VANISHING_PRODUCTS),
+    for table, rels in ((fixtures.r2_cohomology(), (("b", "a"),)),
                         (fixtures.r32_cohomology(),
-                         fixtures.R32_VANISHING_PRODUCTS)):
+                         (("a1", "a2"), ("a1", "l")))):
         for e_name, x_name in rels:
             e = table.named_element(2, e_name)
             deg = next(k for k in range(table.max_degree + 1)
@@ -239,18 +245,50 @@ def test_relation_annotations_match_the_cup_data():
 
 
 def test_t32_action_matrices():
-    act = t32_cohomology_action()
-    assert act.matrix(1).entries == ((0,),)      # l -> 0
-    assert act.matrix(3).entries == ((0,),)      # a2l -> 0
-    assert act.matrix(2).entries == ((0, 1), (1, 0))
+    t32 = fixtures.T32_ON_R32
+    assert t32[1].entries == ((0,),)      # l -> 0
+    assert t32[3].entries == ((0,),)      # a2l -> 0
+    assert t32[2].entries == ((0, 1), (1, 0))
     # squared: identity on the (a1, a2) block, zero on l and a2l
-    squared = {k: act.matrix(k) @ act.matrix(k) for k in (1, 2, 3)}
+    squared = {k: t32[k] @ t32[k] for k in (1, 2, 3)}
     assert squared[2].entries == ((1, 0), (0, 1))
     assert squared[1].entries == ((0,),)
     assert squared[3].entries == ((0,),)
-    assert act.on_bundles["h"] == "hhat"
-    assert act.on_bundles["y"] is None
-    assert "b" not in act.on_bundles  # undetermined, deliberately absent
+
+
+def _degree_and_class(table, name):
+    """(k, the generator called `name`) of a BundleTable."""
+    k = next(k for k, names in enumerate(table.names) if name in names)
+    return k, table.named_element(k, name)
+
+
+def test_t32_on_bundles_is_the_dual_of_the_universal_triple():
+    # The paper's T32 on the bundles, H^*(E32) -> H^*(E32^), by generator
+    # name (None = 0).  The image of b is undetermined up to a multiple of
+    # phat*(a1), and b is no pullback, so the table leaves it out.
+    pinned = {"y": None, "p*(a2)": "phat*(a1)", "p*(a2l)": None, "h": "hhat"}
+    # dualize (E32, 0, h): the flux class goes to H#, and a pullback p*(beta)
+    # to q*(T32 beta), with beta read off the stored Gysin degree
+    ub = universal_bundle_tables()
+    e32, hat = ub.e32, ub.e32_hat
+    r32 = e32.tsc.base
+    t32 = {k: Hom(r32.group(k), r32.group(k), m)
+           for k, m in fixtures.T32_ON_R32.items()}
+    h = e32.named_element(3, "h")
+    rep = dualize(Triple(e32.tsc, e32.group(2).zero_element(), h))
+    assert rep.dual.euler == r32.named_element(2, "a2") \
+        == t32[2](r32.named_element(2, "a1"))
+    assert rep.dual.total is hat.tsc
+    assert rep.dual.flux == _degree_and_class(hat, pinned["h"])[1]
+    for name, want in pinned.items():
+        if name == "h":
+            continue
+        k, x = _degree_and_class(e32, name)
+        got = hat.tsc.pullback(k)(t32[k](e32.tsc.degrees[k].lift(x)))
+        assert got == (hat.group(k).zero_element() if want is None
+                       else _degree_and_class(hat, want)[1]), name
+    with pytest.raises(BNotLiftableError):
+        dualize(Triple(e32.tsc, e32.named_element(2, "b"), h))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from tdual.cli import (
     EXIT_STRICT_CONJECTURE,
     EXIT_VALIDATION,
     JobError,
+    MODES,
     main,
     parse_class,
     run_job,
@@ -21,6 +22,8 @@ from tdual.gysin import GysinError
 from tdual.spaces import UnknownSpaceError
 from tdual.tduality import ExactnessBugError
 from tdual.report import emit_json
+
+from .test_naming import CATALOG
 
 
 def run_cli(argv):
@@ -149,6 +152,34 @@ def test_command_reports_what_its_job_reports(argv, spec, fmt):
     code, out = run_cli(argv + ["--format", fmt])
     assert code == EXIT_OK
     assert out == report.emit(run_job(spec), fmt)
+
+
+@pytest.mark.parametrize("mode", ["cohomology", "coset-partition"])
+def test_max_degree_zero_runs_like_degree_one(mode):
+    # the Euler class is read off H^2 of the base whatever the top degree;
+    # the command fills in the class defaults its job would carry
+    for base in CATALOG:
+        spec = {"mode": mode, "base": base, **MODES[mode].classes,
+                "max_degree": 0}
+        doc = run_job(spec)
+        one = run_job({**spec, "max_degree": 1})
+        assert doc["flags"] == one["flags"] == [], base
+        if mode == "cohomology":
+            assert doc["base"] == one["base"], base
+            assert doc["total_space"] == {"0": one["total_space"]["0"]}, base
+        code, out = run_cli([MODES[mode].command, "--base", base,
+                             "--max-degree", "0", "--format", "json"])
+        assert code == EXIT_OK and out == report.emit(doc, "json"), base
+
+
+def test_max_degree_zero_dualize_exits_2(capsys):
+    with pytest.raises(JobError,
+                       match="^max_degree: dualize needs total-space degree 3$"):
+        run_job({"mode": "dualize", "base": "S2", "max_degree": 0})
+    code, out = run_cli(["dualize", "--base", "S2", "--max-degree", "0"])
+    assert code == EXIT_VALIDATION and out == ""
+    assert capsys.readouterr().err == (
+        "error: max_degree: dualize needs total-space degree 3\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,10 @@
+import itertools
+
 import pytest
 
 from tdual.abelian import FgGroup, ZERO_GROUP
 from tdual.cli import run_job
+from tdual.gysin import CircleBundle, total_space_cohomology
 from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import (
     BNotLiftableError,
@@ -16,6 +19,7 @@ from tdual.tduality import (
 )
 
 from .oracles import make_triple
+from .test_naming import CATALOG
 
 Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))
@@ -31,8 +35,6 @@ def named(tsc, k, spec):
 
 
 def trivial_triple(space, flux_spec, b_spec=None, top=3):
-    from tdual.gysin import CircleBundle, total_space_cohomology
-
     base = cohomology_of(parse_space(space), top + 1)
     e = base.group(2).zero_element()
     total = total_space_cohomology(CircleBundle(base, e), top)
@@ -161,8 +163,24 @@ def test_euler_flux_exchange():
         assert t.total.pushforward(3)(t.flux) == d.euler
 
 
+def catalog_corpus():
+    """b = 0 over every catalog base: Euler class 0 and g, -2g, 3g for each
+    H^2 generator g, and the first 60 fluxes with coordinates in [-2, 2]."""
+    for space in CATALOG:
+        base = cohomology_of(parse_space(space), 4)
+        w2 = base.group(2)
+        for e in [w2.zero_element()] + [g.scale(s) for g in w2.generators()
+                                        for s in (1, -2, 3)]:
+            total = total_space_cohomology(CircleBundle(base, e), 3)
+            h3 = total.group(3)
+            for coords in itertools.islice(
+                    itertools.product(range(-2, 3), repeat=h3.ngens), 60):
+                yield Triple(total, total.group(2).zero_element(),
+                             h3.element(coords))
+
+
 def test_double_dual_restores_bundle_and_flux():
-    for t in corpus():
+    for t in itertools.chain(corpus(), catalog_corpus()):
         rep = dualize(t)
         rep2 = dualize(rep.dual)
         assert dual_euler(rep.dual) == t.euler
