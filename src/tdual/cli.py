@@ -227,6 +227,8 @@ def _coset_json(c) -> dict:
 def _job_coset_partition(spec) -> dict:
     """Partition H^2 of a total space into cosets."""
     tsc = _build_total(spec)
+    if tsc.top < 2:
+        raise JobError("max_degree: coset-partition needs total-space degree 2")
     gen = parse_class(spec.get("gen"), tsc.group(2), tsc.names(2), "gen")
     return _report(spec, [], h2=report.group_json(tsc.group(2)),
                    generators=list(tsc.names(2)),

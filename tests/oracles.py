@@ -109,6 +109,32 @@ def determinant(m) -> int:
 
 
 # ---------------------------------------------------------------------------
+# cup products on a torus
+# ---------------------------------------------------------------------------
+
+def _wedge_sign(word) -> int:
+    """Sign that sorts e_w1 ^ ... ^ e_wk; 0 when an index repeats."""
+    if len(set(word)) < len(word):
+        return 0
+    sign, w = 1, list(word)
+    for i in range(len(w)):  # selection sort, one transposition per swap
+        k = w.index(min(w[i:]), i)
+        if k != i:
+            w[i], w[k], sign = w[k], w[i], -sign
+    return sign
+
+
+def torus_cup_matrix(n: int, euler: dict) -> list:
+    """Rows of cup with e: H^2(T^n) -> H^4(T^n), the exterior algebra on n
+    generators in the bases of sorted index pairs and quadruples.  euler
+    maps a pair (p, q), p < q, to the coefficient of e_p ^ e_q in e."""
+    return [[sum(c * _wedge_sign(pq + ab) for pq, c in euler.items()
+                 if tuple(sorted(pq + ab)) == quad)
+             for ab in combinations(range(n), 2)]
+            for quad in combinations(range(n), 4)]
+
+
+# ---------------------------------------------------------------------------
 # matrices as the public constructor checks them
 # ---------------------------------------------------------------------------
 

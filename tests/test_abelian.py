@@ -1,9 +1,12 @@
+import itertools
 import random
+from math import prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdual import abelian, cli, gysin
 from tdual.abelian import (
     FgGroup,
     Hom,
@@ -21,10 +24,13 @@ from tdual.abelian import (
     smith_normal_form,
     solve_hom,
     _smith,
+    _snf_with_inverses,
 )
+from tdual.spaces import cohomology_of, parse_space
 
 from . import oracles
 from .oracles import determinant, element_order
+from .test_naming import CATALOG
 
 
 def snf_ok(m: IntMatrix):
@@ -97,6 +103,37 @@ def _max_bits(*matrices):
                 for x in row] or [0])
 
 
+def _large_matrix(kind, n, bound):
+    """Dense n x n with entries in [-9, 9], or cup with a random Euler class
+    (coefficients in [-bound, bound]) from H^2 to H^4 of T^n."""
+    rng = random.Random(100 * n + bound)
+    if kind == "dense":
+        return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)]
+                                    for _ in range(n)])
+    euler = {pq: rng.randint(-bound, bound)
+             for pq in itertools.combinations(range(n), 2)}
+    return IntMatrix.from_rows(oracles.torus_cup_matrix(n, euler))
+
+
+@pytest.mark.parametrize("kind, n, bound", [
+    *(("dense", n, 9) for n in range(10, 17)),
+    ("torus", 7, 1), ("torus", 7, 3), ("torus", 8, 1), ("torus", 8, 3)])
+def test_hermite_path_on_large_matrices(kind, n, bound):
+    """Beyond the 9 x 9 of the random tests: the bounded path still gives
+    u m v = d with uinv the inverse of u and the d of the greedy-first
+    path, and its transforms stay small (at most 275 bits over 30 seeds
+    of T^8 with coefficients up to 3, 117 over 30 dense 16 x 16)."""
+    m = _large_matrix(kind, n, bound)
+    u, uinv, d, v = _smith(m, greedy=False)
+    assert u @ m @ v == d
+    assert u @ uinv == IntMatrix.identity(m.rows)
+    assert abs(determinant(v)) == 1
+    assert d == _snf_with_inverses(m)[2]
+    if kind == "dense":
+        assert prod(d.diagonal()) == abs(determinant(m))
+    assert _max_bits(u, uinv, v) <= 384
+
+
 def test_runaway_greedy_elimination_switches_to_hermite():
     """Greedy pivoting alone takes about 10 s on this kernel and gives its
     inclusion 457,800-bit entries; a dense 12 x 12 Smith form took 57 s.
@@ -118,6 +155,62 @@ def test_runaway_greedy_elimination_switches_to_hermite():
     u, d, v = smith_normal_form(m)
     assert (u @ m @ v).entries == d.entries
     assert _max_bits(u, v) <= 256
+
+
+def batch_jobs():
+    """Jobs shaped like the benchmark's batch-mix corpus: every catalog base,
+    Euler class 0 and +-2g, +-3g for each H^2 generator g, six dualize and
+    two coset-partition jobs per bundle with coefficients in [-3, 3] (b in
+    im(p*)), and the four classifying tables."""
+    rng = random.Random(7)
+
+    def draw(n):
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    for base in CATALOG:
+        w2 = cohomology_of(parse_space(base), 4).group(2)
+        eulers = {w2.zero_element().coords} | {
+            g.scale(s).coords for g in w2.generators() for s in (2, -2, 3, -3)}
+        for euler in sorted(eulers):
+            spec = {"base": base, "euler": list(euler)}
+            total = cli.run_job({"mode": "cohomology", **spec})["total_space"]
+            names = total["2"]["generators"]
+            for _ in range(6):
+                b = [c if n.startswith("p*") else 0
+                     for c, n in zip(draw(len(names)), names)]
+                yield {"mode": "dualize", **spec,
+                       "flux": draw(len(total["3"]["generators"])), "b": b}
+            for _ in range(2):
+                yield {"mode": "coset-partition", **spec, "gen": draw(len(names))}
+    for space in ("R2", "R32", "E32", "homotopy"):
+        yield {"mode": "classifying-tables", "space": space}
+
+
+def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
+    """A greedy Smith form that falls back takes other transforms, which can
+    change report bytes.  With a third of the per-line budget, no Smith
+    form of a batch-shaped sweep falls back, so the budget has room."""
+    fallbacks = []
+    smith = abelian._smith
+
+    def counting(m, greedy):
+        if not greedy:
+            fallbacks.append(m.shape)
+        return smith(m, greedy)
+
+    monkeypatch.setattr(abelian, "_GREEDY_BITS_PER_LINE",
+                        abelian._GREEDY_BITS_PER_LINE / 3)
+    monkeypatch.setattr(abelian, "_smith", counting)
+    gysin.total_space_cohomology.cache_clear()
+    try:
+        jobs = 0
+        for spec in batch_jobs():
+            cli.run_job(spec)
+            jobs += 1
+    finally:
+        gysin.total_space_cohomology.cache_clear()
+    assert jobs > 400
+    assert fallbacks == []
 
 
 # ---------------------------------------------------------------------------

@@ -154,20 +154,18 @@ def test_command_reports_what_its_job_reports(argv, spec, fmt):
     assert out == report.emit(run_job(spec), fmt)
 
 
-@pytest.mark.parametrize("mode", ["cohomology", "coset-partition"])
-def test_max_degree_zero_runs_like_degree_one(mode):
+def test_max_degree_zero_runs_like_degree_one():
     # the Euler class is read off H^2 of the base whatever the top degree;
     # the command fills in the class defaults its job would carry
     for base in CATALOG:
-        spec = {"mode": mode, "base": base, **MODES[mode].classes,
+        spec = {"mode": "cohomology", "base": base, **MODES["cohomology"].classes,
                 "max_degree": 0}
         doc = run_job(spec)
         one = run_job({**spec, "max_degree": 1})
         assert doc["flags"] == one["flags"] == [], base
-        if mode == "cohomology":
-            assert doc["base"] == one["base"], base
-            assert doc["total_space"] == {"0": one["total_space"]["0"]}, base
-        code, out = run_cli([MODES[mode].command, "--base", base,
+        assert doc["base"] == one["base"], base
+        assert doc["total_space"] == {"0": one["total_space"]["0"]}, base
+        code, out = run_cli(["cohomology", "--base", base,
                              "--max-degree", "0", "--format", "json"])
         assert code == EXIT_OK and out == report.emit(doc, "json"), base
 
@@ -180,6 +178,21 @@ def test_max_degree_zero_dualize_exits_2(capsys):
     assert code == EXIT_VALIDATION and out == ""
     assert capsys.readouterr().err == (
         "error: max_degree: dualize needs total-space degree 3\n")
+
+
+@pytest.mark.parametrize("top", [0, 1])
+def test_coset_partition_below_degree_2_exits_2(capsys, top):
+    # H^2 of the total space lies above the table: S2 x S1 has H^2 = Z,
+    # which a degree-1 table would report as 0
+    message = "max_degree: coset-partition needs total-space degree 2"
+    with pytest.raises(JobError, match=f"^{message}$"):
+        run_job({"mode": "coset-partition", "base": "S2", "max_degree": top})
+    code, out = run_cli(["coset-partition", "--base", "S2",
+                         "--max-degree", str(top)])
+    assert code == EXIT_VALIDATION and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run_job({"mode": "coset-partition", "base": "S2",
+                    "max_degree": 2})["h2"]["display"] == "Z"
 
 
 @pytest.mark.parametrize("argv", [
