@@ -71,7 +71,10 @@ def parse_class(spec, group, names, field: str) -> GroupElement:
         if text in ("", "0"):
             return group.zero_element()
         spec = [_integer(part.strip(), field) for part in text.split(",")]
-        if "*" in text or None in spec:
+        if None in spec:
+            if "," in text:  # a coordinate list, never an expression
+                raise JobError(
+                    f"{field}: coordinates must be integers, got {text!r}")
             return _parse_expression(text, group, names, field)
     if not isinstance(spec, (list, tuple)) or not all(type(c) is int for c in spec):
         raise JobError(f"{field}: coordinates must be integers, got {spec!r}")
@@ -220,7 +223,7 @@ def _coset_json(c) -> dict:
         "coset": list(c.coset.coords),
     }
     if c.representatives is not None:
-        out["coset_representatives"] = [list(r) for r in c.representatives]
+        out["coset_representatives"] = list(c.representatives)
     return out
 
 

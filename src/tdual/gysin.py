@@ -128,15 +128,18 @@ class TotalSpaceCohomology:
         self.base = base
         self.euler = bundle.euler
         self.top = top
+        # cups[k] = (cup e: H^(k-2)(W) -> H^k(W)), built once for the
+        # degrees and the exactness audit; zero maps below degree 2
+        self.cups: tuple[Hom, ...] = tuple(
+            base.cup_by(self.euler, k - 2) for k in range(top + 2))
         trivial = self.euler.is_zero()
         self.degrees: tuple[GysinDegree, ...] = tuple(
             self._build_degree(k, trivial) for k in range(top + 1))
 
     def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
         base = self.base
-        cup_in, cup_out = _cups_around(base, self.euler, k)
         return split_degree(
-            cup_in, cup_out, base.names[k],
+            self.cups[k], self.cups[k + 1], base.names[k],
             base.names[k - 1] if k >= 1 else (),
             (lambda s: f"p*({s})", lambda j: f"p*[{k}.{j}]"),
             (lambda s: f"{s}.z", lambda j: f"z[{k}.{j}]"),
@@ -155,9 +158,6 @@ class TotalSpaceCohomology:
     def named_element(self, k: int, name: str) -> GroupElement:
         return self.group(k).generator(self.names(k).index(name))
 
-    def generator_index(self, k: int, name: str) -> int:
-        return self.names(k).index(name)
-
     def pullback(self, k: int) -> Hom:
         if k < 0 or k > self.top:
             return Hom.zero(self.base.group(k), self.group(k))
@@ -170,11 +170,6 @@ class TotalSpaceCohomology:
 
     def ambiguous_degrees(self) -> list[int]:
         return [k for k in range(self.top + 1) if self.degrees[k].ambiguous]
-
-
-def _cups_around(base: GradedCohomology, e: GroupElement, k: int):
-    """(cup e into H^k(W), cup e out of H^(k-1)(W)), zero maps below degree 0."""
-    return base.cup_by(e, k - 2), base.cup_by(e, k - 1)
 
 
 # Solved total spaces kept by total_space_cohomology.  A batch reuses a
@@ -215,7 +210,7 @@ def exactness_audit(tsc: TotalSpaceCohomology) -> bool:
     Raises GysinError naming the first failure.
     """
     for k in range(tsc.top + 1):
-        cup_in, cup_out = _cups_around(tsc.base, tsc.euler, k)
+        cup_in, cup_out = tsc.cups[k], tsc.cups[k + 1]
         if not is_exact_at(cup_in, tsc.pullback(k)):
             raise GysinError(f"not exact at H^{k}(base)")
         if not is_exact_at(tsc.pullback(k), tsc.pushforward(k)):

@@ -68,7 +68,8 @@ def _json(value, nl: str) -> str:
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if all(type(x) is int for x in value):  # not bool, which prints true
         items = map(str, value)
-    elif (type(value[0]) is list and set(map(type, value)) == {list}
+    elif (type(value[0]) in (list, tuple)   # all lists or all tuples
+          and set(map(type, value)) == {type(value[0])}
           and len(set(map(len, value))) == 1   # empty rows fail the next test
           and set(map(type, chain.from_iterable(value))) == {int}):
         inner2 = inner + "  "
@@ -81,11 +82,10 @@ def _json(value, nl: str) -> str:
 
 
 def _inline(value) -> bool:
-    if not isinstance(value, (dict, list)):
-        return True
-    if isinstance(value, list):
-        return all(not isinstance(x, (dict, list)) for x in value)
-    return not value
+    if isinstance(value, dict):
+        return not value
+    return not isinstance(value, (list, tuple)) or all(
+        not isinstance(x, (dict, list, tuple)) for x in value)
 
 
 def _text_lines(doc, indent=0):
@@ -99,7 +99,7 @@ def _text_lines(doc, indent=0):
             else:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_text_lines(value, indent + 1))
-    elif isinstance(doc, list):
+    elif isinstance(doc, (list, tuple)):
         for value in doc:
             if _inline(value):
                 lines.append(f"{pad}- {json.dumps(value)}")

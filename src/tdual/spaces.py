@@ -57,9 +57,6 @@ class GradedCohomology:
             return ZERO_GROUP
         return self.groups[k]
 
-    def element(self, k: int, coords: Sequence[int]) -> GroupElement:
-        return self.group(k).element(coords)
-
     def generator_index(self, k: int, name: str) -> int:
         return self.names[k].index(name)
 
@@ -88,47 +85,30 @@ class GradedCohomology:
         return Hom(src, dst, total)
 
 
-def _zero_cup_table(groups, max_degree):
-    """All-zero cup matrices for each H^2 generator and degree."""
-    n2 = groups[2].ngens if max_degree >= 2 else 0
-    table = []
-    for _ in range(n2):
-        row = []
-        for k in range(max_degree - 1):
-            dst = groups[k + 2]
-            row.append(IntMatrix.zeros(dst.ngens, groups[k].ngens))
-        row.extend([None, None])  # degrees max-1, max have no target in range
-        table.append(tuple(row[: max_degree + 1]))
-    return table
-
-
 def _build(label, max_degree, data, cup_entries=(), simply_connected=None):
     """Assemble a GradedCohomology from sparse degree data.
 
-    data: dict degree -> (FgGroup, names); missing degrees are zero.
+    data: dict degree -> (FgGroup, names); missing degrees are zero, and
+    degrees above max_degree are ignored.
     cup_entries: list of (gen_index, degree, matrix_rows) for nonzero cup
-    maps; everything else defaults to the zero map.
+    maps; everything else is the zero map.
     """
-    groups = []
-    names = []
-    for k in range(max_degree + 1):
-        g, ns = data.get(k, (ZERO_GROUP, ()))
-        groups.append(g)
-        names.append(tuple(ns))
-    table = _zero_cup_table(groups, max_degree)
-    for i, k, rows in cup_entries:
-        if k + 2 > max_degree:
-            continue
-        src = groups[k]
-        table[i] = tuple(
-            IntMatrix.from_rows(rows, src.ngens) if kk == k else m
-            for kk, m in enumerate(table[i]))
+    groups, names = zip(*(data.get(k, (ZERO_GROUP, ()))
+                          for k in range(max_degree + 1)))
+    given = {(i, k): rows for i, k, rows in cup_entries}
+    n2 = groups[2].ngens if max_degree >= 2 else 0
+    table = tuple(
+        tuple(IntMatrix.from_rows(given[i, k], groups[k].ngens)
+              if (i, k) in given
+              else IntMatrix.zeros(groups[k + 2].ngens, groups[k].ngens)
+              for k in range(max_degree - 1))
+        for i in range(n2))
     return GradedCohomology(
         label=label,
         max_degree=max_degree,
-        groups=tuple(groups),
-        names=tuple(names),
-        cup_gens=tuple(table),
+        groups=groups,
+        names=tuple(map(tuple, names)),
+        cup_gens=table,
         simply_connected=simply_connected,
     )
 
@@ -137,60 +117,48 @@ def _build(label, max_degree, data, cup_entries=(), simply_connected=None):
 # the catalog
 # ---------------------------------------------------------------------------
 
+# kind -> (display format, dimension); "n" stands for the parameter
+_KINDS = {
+    "point": ("point", 0),
+    "sphere": ("S{n}", "n"),
+    "torus": ("T2", 2),
+    "surface": ("Sigma{n}", 2),
+    "rp": ("RP{n}", "n"),
+    "cp2": ("CP2", 4),
+    "kz2": ("KZ2", None),
+}
+
+
 @dataclass(frozen=True)
 class CatalogSpace:
-    kind: str   # point | sphere | torus | surface | rp | cp2 | kz2
+    kind: str   # a key of _KINDS
     param: int = 0
 
     def dimension(self) -> Optional[int]:
-        return {
-            "point": 0,
-            "sphere": self.param,
-            "torus": 2,
-            "surface": 2,
-            "rp": self.param,
-            "cp2": 4,
-            "kz2": None,
-        }[self.kind]
+        dim = _KINDS[self.kind][1]
+        return self.param if dim == "n" else dim
 
     def display(self) -> str:
-        return {
-            "point": "point",
-            "sphere": f"S{self.param}",
-            "torus": "T2",
-            "surface": f"Sigma{self.param}",
-            "rp": f"RP{self.param}",
-            "cp2": "CP2",
-            "kz2": "KZ2",
-        }[self.kind]
+        return _KINDS[self.kind][0].format(n=self.param)
 
 
 class UnknownSpaceError(ValueError):
     pass
 
 
+# one named group per kind; a kind with a parameter captures its digit
 _SPACE_RE = re.compile(
-    r"^(?:(point)|s\^?([1-8])|(t\^?2)|sigma[_^]?([2-8])|rp\^?([2-8])|"
-    r"(cp\^?2)|(kz2|k\(z,2\)))$")
+    r"^(?:(?P<point>point)|s\^?(?P<sphere>[1-8])|(?P<torus>t\^?2)|"
+    r"sigma[_^]?(?P<surface>[2-8])|rp\^?(?P<rp>[2-8])|(?P<cp2>cp\^?2)|"
+    r"(?P<kz2>kz2|k\(z,2\)))$")
 
 
 def parse_space(name: str) -> CatalogSpace:
     m = _SPACE_RE.match(name.strip().lower())
     if not m:
         raise UnknownSpaceError(f"unknown catalog space {name!r}")
-    if m.group(1):
-        return CatalogSpace("point")
-    if m.group(2):
-        return CatalogSpace("sphere", int(m.group(2)))
-    if m.group(3):
-        return CatalogSpace("torus")
-    if m.group(4):
-        return CatalogSpace("surface", int(m.group(4)))
-    if m.group(5):
-        return CatalogSpace("rp", int(m.group(5)))
-    if m.group(6):
-        return CatalogSpace("cp2")
-    return CatalogSpace("kz2")
+    text = m[m.lastgroup]
+    return CatalogSpace(m.lastgroup, int(text) if text.isdigit() else 0)
 
 
 Z = FgGroup(1)
@@ -198,72 +166,39 @@ Z2 = FgGroup(0, (2,))
 
 
 def cohomology_of(space: CatalogSpace, max_degree: int) -> GradedCohomology:
-    """Integral cohomology of a catalog space up to max_degree."""
+    """Integral cohomology of a catalog space up to max_degree.
+
+    Each kind states only its groups and generator names.  The ring
+    follows from one rule: H^2 is generated by at most one class x, and
+    cup with x is the unit 1x1 matrix H^k -> H^(k+2) for every even k
+    where both groups are nonzero, and zero everywhere else.
+    """
     if max_degree < 0 or max_degree > 12:
         raise ValueError("max_degree out of range")
-    label = space.display()
-    if space.kind == "point":
-        return _build(label, max_degree, {0: (Z, ("1",))}, simply_connected=True)
-
-    if space.kind == "sphere":
-        n = space.param
-        data = {0: (Z, ("1",))}
-        if n <= max_degree:
-            data[n] = (Z, ("vol",))
-        cups = []
-        if n == 2 and max_degree >= 2:
-            cups.append((0, 0, [[1]]))  # 1 cup vol = vol
-        return _build(label, max_degree, data, cups, simply_connected=(n >= 2))
-
-    if space.kind in ("torus", "surface"):
-        g = 1 if space.kind == "torus" else space.param
-        ones = [f"a{i}" for i in range(1, g + 1)] + [f"b{i}" for i in range(1, g + 1)]
-        if space.kind == "torus":
-            ones = ["a", "b"]
-        data = {0: (Z, ("1",))}
-        if max_degree >= 1:
-            data[1] = (FgGroup(2 * g), tuple(ones))
-        if max_degree >= 2:
-            data[2] = (Z, ("vol",))
-        cups = [(0, 0, [[1]])] if max_degree >= 2 else []
-        return _build(label, max_degree, data, cups, simply_connected=False)
-
-    if space.kind == "rp":
-        n = space.param
-        data = {0: (Z, ("1",))}
-        for k in range(2, min(n, max_degree) + 1, 2):
+    kind, n = space.kind, space.param
+    data = {0: (Z, ("1",))}
+    if kind == "sphere":
+        data[n] = (Z, ("vol",))
+    elif kind in ("torus", "surface"):
+        ones = (("a", "b") if kind == "torus" else
+                tuple(f"{ab}{i}" for ab in "ab" for i in range(1, n + 1)))
+        data[1] = (FgGroup(len(ones)), ones)
+        data[2] = (Z, ("vol",))
+    elif kind == "rp":
+        for k in range(2, n + 1, 2):
             data[k] = (Z2, (f"a^{k // 2}" if k > 2 else "a",))
-        if n % 2 == 1 and n <= max_degree:
+        if n % 2 == 1:
             data[n] = (Z, ("vol",))
-        cups = []
-        if max_degree >= 2:
-            cups.append((0, 0, [[1]]))  # Z -> Z/2 reduction
-            for k in range(2, n - 1, 2):
-                if k + 2 <= max_degree and k + 2 <= n and data.get(k + 2, (ZERO_GROUP,))[0] == Z2:
-                    cups.append((0, k, [[1]]))
-        return _build(label, max_degree, data, cups, simply_connected=False)
-
-    if space.kind == "cp2":
-        data = {0: (Z, ("1",))}
-        if max_degree >= 2:
-            data[2] = (Z, ("a",))
-        if max_degree >= 4:
-            data[4] = (Z, ("a^2",))
-        cups = []
-        if max_degree >= 2:
-            cups.append((0, 0, [[1]]))
-        if max_degree >= 4:
-            cups.append((0, 2, [[1]]))
-        return _build(label, max_degree, data, cups, simply_connected=True)
-
-    if space.kind == "kz2":
-        data = {0: (Z, ("1",))}
+    elif kind == "cp2":
+        data[2] = (Z, ("a",))
+        data[4] = (Z, ("a^2",))
+    elif kind == "kz2":
         for k in range(2, max_degree + 1, 2):
             data[k] = (Z, ("c" if k == 2 else f"c^{k // 2}",))
-        cups = [(0, k, [[1]]) for k in range(0, max_degree - 1, 2)]
-        return _build(label, max_degree, data, cups, simply_connected=True)
-
-    raise UnknownSpaceError(space.kind)
+    cups = [(0, k, [[1]]) for k in data if k % 2 == 0 and k + 2 in data]
+    return _build(space.display(), max_degree, data, cups,
+                  simply_connected=(kind in ("point", "cp2", "kz2")
+                                    or (kind == "sphere" and n >= 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
     """
     # e cup e# = 0 since e# = p!(H) lies in the kernel of cup-e; this is
     # what makes e a legal value of q! on the dual side.
-    if not t.base.cup_by(dual_total.euler, 2)(t.euler).is_zero():
+    if not dual_total.cups[4](t.euler).is_zero():
         raise ExactnessBugError("source Euler class is not killed by cup e#")
     beta = t.total.degrees[3].lift(t.flux)
     dd3 = dual_total.degrees[3]

@@ -80,7 +80,7 @@ def trivial_triple(space, flux_spec, top):
     group = total.group(3)
     coords = [0] * group.ngens
     for name, c in flux_spec.items():
-        coords[total.generator_index(3, name)] += c
+        coords[total.names(3).index(name)] += c
     return Triple(total, total.group(2).zero_element(), group.element(coords))
 
 

@@ -274,6 +274,12 @@ def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
     ("euler", {"mode": "cohomology", "base": "S2", "euler": "+-2"}),
     ("euler", {"mode": "cohomology", "base": "S2", "euler": "\u00b2*vol"}),
     ("euler", {"mode": "cohomology", "base": "S2", "euler": "\u0663"}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": "1,"}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": "1,,0"}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": ",1"}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": "1, x"}),
+    ("flux", {"mode": "dualize", "base": "T2", "euler": "0",
+              "flux": "p*(vol),1"}),
 ])
 def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
     _assert_job_refused(tmp_path, capsys, field, job)

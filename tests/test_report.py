@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdual.cli import run_job
-from tdual.report import emit_json
+from tdual.report import emit_json, emit_text
 
 BASES = (["point"] + [f"S{n}" for n in range(1, 9)] + ["T2"]
          + [f"Sigma{g}" for g in range(2, 9)] + [f"RP{n}" for n in range(2, 9)]
@@ -55,6 +55,7 @@ report_values = st.recursive(
 @example([[], []])                      # empty rows
 @example([[1, True], [2, 3]])           # a bool entry
 @example([[1, 2], (3, 4)])              # a tuple row
+@example([(1, 2), (3, -4), (2 ** 70, 0)])  # all tuple rows
 @example([[1, 2], {"a": [[3, 4]]}])     # rows mixed with a dict
 def test_emit_json_equals_json_dumps(doc):
     assert emit_json(doc) == reference(doc)
@@ -90,3 +91,15 @@ def test_every_catalog_report_is_emitted_as_json_dumps_would():
         assert emit_json(doc) == reference(doc), doc["input"]
     batch = {"schema_version": 1, "reports": docs}
     assert emit_json(batch) == reference(batch)
+
+
+def test_text_of_tuple_rows_equals_list_rows():
+    doc = run_job({"mode": "coset-partition", "base": "S2", "euler": "6",
+                   "gen": "0"})
+    rows = doc["partition"]["coset_representatives"]
+    assert len(rows) == 6 and {type(r) for r in rows} == {tuple}
+    partition = dict(doc["partition"], coset_representatives=[
+        list(r) for r in rows])
+    listed = dict(doc, partition=partition)
+    assert emit_text(doc) == emit_text(listed)
+    assert emit_json(doc) == emit_json(listed)

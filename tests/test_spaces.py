@@ -65,7 +65,7 @@ def test_rp4_rp5_rings():
 
 def test_cup_linearity_in_the_class():
     cp2 = cohomology_of(parse_space("CP2"), 5)
-    e = cp2.element(2, [3])
+    e = cp2.group(2).element([3])
     assert cp2.cup_by(e, 2).matrix.entries == ((3,),)
 
 

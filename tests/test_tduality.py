@@ -30,7 +30,7 @@ def named(tsc, k, spec):
     group = tsc.group(k)
     coords = [0] * group.ngens
     for name, c in spec.items():
-        coords[tsc.generator_index(k, name)] += c
+        coords[tsc.names(k).index(name)] += c
     return group.element(coords)
 
 
