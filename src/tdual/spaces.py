@@ -117,16 +117,21 @@ def _build(label, max_degree, data, cup_entries=(), simply_connected=None):
 # the catalog
 # ---------------------------------------------------------------------------
 
-# kind -> (display format, dimension); "n" stands for the parameter
+# kind -> (display format, dimension, parameters); "n" stands for the
+# parameter, which must be one parse_space accepts
 _KINDS = {
-    "point": ("point", 0),
-    "sphere": ("S{n}", "n"),
-    "torus": ("T2", 2),
-    "surface": ("Sigma{n}", 2),
-    "rp": ("RP{n}", "n"),
-    "cp2": ("CP2", 4),
-    "kz2": ("KZ2", None),
+    "point": ("point", 0, (0,)),
+    "sphere": ("S{n}", "n", range(1, 9)),
+    "torus": ("T2", 2, (0,)),
+    "surface": ("Sigma{n}", 2, range(2, 9)),
+    "rp": ("RP{n}", "n", range(2, 9)),
+    "cp2": ("CP2", 4, (0,)),
+    "kz2": ("KZ2", None, (0,)),
 }
+
+
+class UnknownSpaceError(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -134,16 +139,19 @@ class CatalogSpace:
     kind: str   # a key of _KINDS
     param: int = 0
 
+    def __post_init__(self):
+        if (self.kind not in _KINDS or type(self.param) is not int
+                or self.param not in _KINDS[self.kind][2]):
+            raise UnknownSpaceError(
+                f"no catalog space of kind {self.kind!r} with parameter "
+                f"{self.param!r}")
+
     def dimension(self) -> Optional[int]:
         dim = _KINDS[self.kind][1]
         return self.param if dim == "n" else dim
 
     def display(self) -> str:
         return _KINDS[self.kind][0].format(n=self.param)
-
-
-class UnknownSpaceError(ValueError):
-    pass
 
 
 # one named group per kind; a kind with a parameter captures its digit

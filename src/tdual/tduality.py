@@ -15,10 +15,11 @@ beta and the base class of H are both read off the stored Gysin degree
 (`GysinDegree.lift`), and im(q*) is the stored cokernel summand of H^3(E#).
 
 The coset quotients H^2(E)/<p* p!(H)> and H^2(E#)/<q* q!(H#)> are
-isomorphic; when the base has vanishing H^1 the isomorphism is realized
-naturally through H^2(W)/<e, e#>, otherwise the two canonical forms are
-matched directly and the report carries a CONJECTURE flag (the bijection
-of cosets is only proved over simply connected bases).
+isomorphic.  Where p* and q* are onto in degree two (always when the
+base has H^1 = 0) the natural isomorphism is induced by q* (p*)^-1;
+otherwise the canonical forms are matched directly and the report
+carries a CONJECTURE flag (the coset bijection is only proved over
+simply connected bases).
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .abelian import (
     FgGroup,
     GroupElement,
     Hom,
-    HomError,
-    hom_inverse,
     is_isomorphism,
     quotient_by,
     section_matrix,
@@ -170,25 +169,17 @@ def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
                        source_coset: CosetData, target_coset: CosetData):
     """An isomorphism between the two coset quotients.
 
-    Natural route (valid whenever both p* and q* are onto in degree two,
-    in particular over a base with H^1 = 0): both quotients are induced
-    from H^2(W)/<e, e#>.  Fallback: the canonical forms coincide in every
-    example the transform covers, and the identity on canonical
-    generators witnesses the abstract isomorphism.
+    Natural exactly when p* and q* are onto in degree two (always over a
+    base with H^1 = 0): the witness is the map induced by q* (p*)^-1, the
+    unique phi with phi P = Q for P, Q the degree-two pullbacks followed
+    by the coset projections.  Fallback: equal canonical forms are matched
+    by the identity on canonical generators, which ignores b.
     """
-    qw, projw = quotient_by(t.base.group(2), [t.euler, dual_total.euler])
-    sect = section_matrix(projw)
-    # the maps induced on qw: each composite kills <e, e#>
-    p_bar = Hom(qw, source_coset.quotient, source_coset.projection.matrix
-                @ t.total.pullback(2).matrix @ sect)
-    q_bar = Hom(qw, target_coset.quotient, target_coset.projection.matrix
-                @ dual_total.pullback(2).matrix @ sect)
-    try:
-        p_inv = hom_inverse(p_bar)  # HomError: p_bar is not an isomorphism
-        if is_isomorphism(q_bar):
-            return q_bar.compose(p_inv), True
-    except HomError:
-        pass
+    if (t.total.degrees[2].onto_ker.codomain.is_zero()
+            and dual_total.degrees[2].onto_ker.codomain.is_zero()):
+        p = source_coset.projection.compose(t.total.pullback(2))
+        q = target_coset.projection.compose(dual_total.pullback(2))
+        return Hom(p.codomain, q.codomain, q.matrix @ section_matrix(p)), True
     if source_coset.quotient == target_coset.quotient:
         return Hom.identity(source_coset.quotient), False
     return None, False
@@ -241,13 +232,18 @@ def verify_coset_isomorphism(source: Triple, report: DualityReport) -> bool:
     """Recompute both coset quotients and check the stored isomorphism.
 
     True iff the quotients agree in canonical form and the stored witness
-    is a genuine isomorphism between them.
+    is a genuine isomorphism between them.  A witness reported natural
+    must also satisfy phi P = Q for the recomputed P, Q (pullback, then
+    coset projection), so that it carries the class of b to that of b#.
     """
-    e_dual = dual_euler(source)
-    gen_src = source.total.pullback(2)(e_dual)
-    q_src, _ = quotient_by(source.total.group(2), [gen_src])
-    gen_dst = report.dual.total.pullback(2)(source.euler)
-    q_dst, _ = quotient_by(report.dual.total.group(2), [gen_dst])
+    dual = report.dual.total
+    gen_src = source.total.pullback(2)(dual_euler(source))
+    q_src, proj_src = quotient_by(source.total.group(2), [gen_src])
+    gen_dst = dual.pullback(2)(source.euler)
+    q_dst, proj_dst = quotient_by(dual.group(2), [gen_dst])
     iso = report.coset_iso
     return (q_src == q_dst and iso is not None and iso.domain == q_src
-            and iso.codomain == q_dst and is_isomorphism(iso))
+            and iso.codomain == q_dst and is_isomorphism(iso)
+            and (not report.coset_iso_natural
+                 or iso.compose(proj_src.compose(source.total.pullback(2)))
+                 == proj_dst.compose(dual.pullback(2))))

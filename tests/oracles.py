@@ -1,16 +1,17 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Apart from the last seven sections, nothing in here uses the package's
+Apart from the last eight sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
 (gcds of k x k minors), determinants from fraction-free elimination, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
-The last seven sections use package code: the per-element solving path
+The last eight sections use package code: the per-element solving path
 (one Smith form per element or lattice column) that batched code must
 match, the per-coset lifts that coset enumeration must match, the
 invariants and coinvariants of a deck action, the orbit normal form of a
 unipotent deck action, the circle Kunneth product built from the
-package's direct sums, and triples built from coordinates.
+package's direct sums, triples built from coordinates, and the coset
+witness induced through H^2(W)/<e, e#>.
 """
 
 from __future__ import annotations
@@ -26,7 +27,11 @@ from tdual.abelian import (
     _preimage_of_zero_lattice,
     _snf_with_inverses,
     cokernel,
+    hom_inverse,
+    is_isomorphism,
     kernel,
+    quotient_by,
+    section_matrix,
     solve_hom,
 )
 from tdual.gysin import CircleBundle, total_space_cohomology
@@ -484,3 +489,26 @@ def make_triple(base, euler_coords, b_coords, flux_coords, max_degree=None):
     return Triple(total,
                   total.group(2).element(b_coords),
                   total.group(3).element(flux_coords))
+
+
+# ---------------------------------------------------------------------------
+# the coset witness induced through H^2(W)/<e, e#> (uses package code)
+# ---------------------------------------------------------------------------
+
+def coset_isomorphism_through_base(t, dual_total, source_coset, target_coset):
+    """The coset witness of `dualize` as (Hom or None, natural), by the
+    route through the third group H^2(W)/<e, e#>: both coset quotients are
+    induced from it, and the witness is natural iff both induced maps are
+    isomorphisms.  Otherwise equal canonical forms get the identity."""
+    qw, projw = quotient_by(t.base.group(2), [t.euler, dual_total.euler])
+    sect = section_matrix(projw)
+    # the maps induced on qw: each composite kills <e, e#>
+    p_bar = Hom(qw, source_coset.quotient, source_coset.projection.matrix
+                @ t.total.pullback(2).matrix @ sect)
+    q_bar = Hom(qw, target_coset.quotient, target_coset.projection.matrix
+                @ dual_total.pullback(2).matrix @ sect)
+    if is_isomorphism(p_bar) and is_isomorphism(q_bar):
+        return q_bar.compose(hom_inverse(p_bar)), True
+    if source_coset.quotient == target_coset.quotient:
+        return Hom.identity(source_coset.quotient), False
+    return None, False

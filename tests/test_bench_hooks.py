@@ -10,9 +10,11 @@ gysin.build_degree counts real builds and not cache hits.  It counts
 enumerated cosets as len(coset_partition(...).representatives) and
 report bytes as len(report.emit_json(doc)).  The coverage jobs count
 Smith forms by the code object of abelian._snf_with_inverses, so it must
-stay a plain function.
+stay a plain function.  Two traced functions, image and hom_inverse, have
+no caller left in src/ and stay only for the tracer.
 """
 
+import ast
 import sys
 import types
 from pathlib import Path
@@ -21,7 +23,8 @@ from tdual import abelian, classifying, cli, gysin, report, tduality
 from tdual.abelian import IntMatrix
 from tdual.spaces import cohomology_of, parse_space
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def test_every_traced_target_exists(monkeypatch):
@@ -94,3 +97,43 @@ def test_counted_values_keep_their_types():
     doc = cli.run_job({"mode": "coset-partition", "base": "S2",
                        "euler": "0", "gen": "300*p*(vol)"})
     assert isinstance(report.emit_json(doc), str)
+
+
+def _references_outside_own_def(tree) -> set:
+    """Names referenced (as a name, an attribute or an imported name)
+    anywhere except inside the def or class of that same name."""
+    found = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        names = ()
+        if isinstance(node, ast.Name):
+            names = (node.id,)
+        elif isinstance(node, ast.Attribute):
+            names = (node.attr,)
+        elif isinstance(node, ast.ImportFrom):
+            names = tuple(alias.name for alias in node.names)
+        found.update(n for n in names if n not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(tree, frozenset())
+    return found
+
+
+def test_traced_functions_without_a_caller_in_src(monkeypatch):
+    """A traced function that src/ no longer calls still has to exist for
+    bench/tracing.py, and its metrics read 0; the list of such hooks is
+    pinned, so that a change that removes a last caller says so."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    used = set()
+    for path in (ROOT / "src" / "tdual").glob("*.py"):
+        if path.name != "__init__.py":
+            used |= _references_outside_own_def(
+                ast.parse(path.read_text(), str(path)))
+    attrs = {attr for fns in tracing.LAYERS.values() for _, attr in fns.values()}
+    assert attrs - used == {"image", "hom_inverse"}

@@ -9,6 +9,7 @@ from tdual.spaces import (
 )
 
 from .oracles import kunneth_with_circle
+from .test_naming import CATALOG
 
 Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))
@@ -30,6 +31,21 @@ def test_parse_space():
         parse_space("RP9")
     with pytest.raises(UnknownSpaceError):
         parse_space("banana")
+
+
+def test_catalog_space_accepts_exactly_what_parse_space_accepts():
+    # the 26 catalog names, each as its kind and parameter
+    for name in CATALOG:
+        space = parse_space(name)
+        assert CatalogSpace(space.kind, space.param) == space
+        assert space.display() == name
+    for kind, param in [("banana", 0), ("sphere", 0), ("sphere", 9),
+                        ("rp", 1), ("surface", 1), ("point", 3),
+                        ("sphere", 2.0), ("torus", True)]:
+        with pytest.raises(UnknownSpaceError):
+            CatalogSpace(kind, param)
+    with pytest.raises(UnknownSpaceError):
+        cohomology_of(CatalogSpace("banana"), 3)
 
 
 def test_sphere_table():

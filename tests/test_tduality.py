@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 
 import pytest
 
-from tdual.abelian import FgGroup, ZERO_GROUP
+from tdual.abelian import FgGroup, Hom, ZERO_GROUP, is_isomorphism
+from tdual.classifying import universal_bundle_tables
 from tdual.cli import run_job
 from tdual.gysin import CircleBundle, total_space_cohomology
 from tdual.spaces import cohomology_of, parse_space
@@ -18,7 +20,11 @@ from tdual.tduality import (
     verify_coset_isomorphism,
 )
 
-from .oracles import make_triple
+from .oracles import (
+    coset_isomorphism_through_base,
+    kunneth_with_circle,
+    make_triple,
+)
 from .test_naming import CATALOG
 
 Z = FgGroup(1)
@@ -358,3 +364,67 @@ def test_natural_witness_transports_the_b_coset():
     assert doc["cosets"]["source"]["coset"] == [1]
     assert doc["cosets"]["natural"] is True
     assert _witness_transports_b(doc)
+
+
+def test_verifier_rejects_a_natural_witness_that_moves_b():
+    # S2 x S1 with 6 units of flux: both quotients are Z/6, and -phi is an
+    # isomorphism that sends the class of b to minus the class of b#
+    t = trivial_triple("S2", {"vol.z": 6}, b_spec={"p*(vol)": 1})
+    rep = dualize(t)
+    assert rep.coset_iso_natural
+    assert rep.source_coset.quotient == FgGroup(0, (6,))
+    assert verify_coset_isomorphism(t, rep)
+    phi = rep.coset_iso
+    negated = Hom(phi.domain, phi.codomain, phi.matrix.scale(-1))
+    assert is_isomorphism(negated)
+    assert negated(rep.source_coset.coset) != rep.target_coset.coset
+    assert not verify_coset_isomorphism(
+        t, dataclasses.replace(rep, coset_iso=negated))
+
+
+def _with_pullback_b(triples):
+    """Each triple with b = 0 and with b each p*-generator of H^2(E)."""
+    for t in triples:
+        yield t
+        h2 = t.total.group(2)
+        for i, name in enumerate(t.total.names(2)):
+            if name.startswith("p*"):
+                yield Triple(t.total, h2.generator(i), t.flux)
+
+
+def _universal_triple():
+    e32 = universal_bundle_tables().e32
+    return Triple(e32.tsc, e32.group(2).zero_element(),
+                  e32.named_element(3, "h"))
+
+
+def _s2_times_circle_corpus():
+    """Triples over S2 x S1, where H^1 and H^3 are both nonzero: cup with
+    e = 2 vol is injective on H^1 while cup with e# = 0 is not, so one
+    side's pullback can be onto in degree two and the other's not."""
+    base = kunneth_with_circle(cohomology_of(parse_space("S2"), 4))
+    w2 = base.group(2)
+    for e in (0, 1, -1, 2):
+        total = total_space_cohomology(CircleBundle(base, w2.element([e])), 3)
+        h3 = total.group(3)
+        for coords in itertools.product(range(-2, 3), repeat=h3.ngens):
+            yield Triple(total, total.group(2).zero_element(),
+                         h3.element(coords))
+
+
+def test_coset_witness_matches_the_route_through_the_base():
+    """The witness read off the Gysin degrees equals, matrix and natural
+    flag, the one induced through H^2(W)/<e, e#>; a natural one passes the
+    transport check of the verifier."""
+    natural = 0
+    for t in _with_pullback_b(itertools.chain(
+            catalog_corpus(), _s2_times_circle_corpus(),
+            [_universal_triple()])):
+        rep = dualize(t)
+        want = coset_isomorphism_through_base(
+            t, rep.dual.total, rep.source_coset, rep.target_coset)
+        assert (rep.coset_iso, rep.coset_iso_natural) == want
+        if rep.coset_iso_natural:
+            natural += 1
+            assert verify_coset_isomorphism(t, rep)
+    assert natural > 0
