@@ -384,6 +384,11 @@ class FgGroup:
     def ngens(self) -> int:
         return self.free_rank + len(self.torsion)
 
+    @property
+    def moduli(self) -> tuple:
+        """Per coordinate: 0 if free, d if Z/d."""
+        return (0,) * self.free_rank + self.torsion
+
     def is_zero(self) -> bool:
         return self.ngens == 0
 

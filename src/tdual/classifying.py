@@ -34,6 +34,8 @@ from .abelian import (
     is_isomorphism,
 )
 from .gysin import (
+    FIBER,
+    PULLBACK,
     CircleBundle,
     TotalSpaceCohomology,
     split_degree,
@@ -122,11 +124,10 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
     degrees = []
     for n in range(cover.max_degree + 1):
         degrees.append(split_degree(
-            shifts[n], shifts[n + 1], names[n], names[n + 1],
-            (lambda s: circle if s == "1" else f"{s}{circle}",
-             lambda j: f"{circle}[{n}.{j}]"),
-            (lambda s: s, lambda j: f"inv[{n}.{j}]"),
-            split=False))
+            shifts[n], shifts[n + 1],
+            [circle if s == "1" else f"{s}{circle}" for s in names[n]],
+            names[n + 1], lambda j: f"{circle}[{n}.{j}]",
+            lambda j: f"inv[{n}.{j}]", split=False))
     table = GradedCohomology(
         label=f"torus({cover.label})",
         max_degree=cover.max_degree,
@@ -182,9 +183,9 @@ def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull, base):
     that ref_pull maps to s, s.z to the one that ref_push maps to s, and
     p*(1) to 1.  Each degree must give ref_names in the engine's order.
     """
-    engine = {f"p*({s})": name for name, s in ref_pull.items()}
-    engine.update({f"{s}.z": name for name, s in ref_push.items() if s})
-    engine["p*(1)"] = "1"
+    engine = {PULLBACK.format(s): name for name, s in ref_pull.items()}
+    engine.update({FIBER.format(s): name for name, s in ref_push.items() if s})
+    engine[PULLBACK.format("1")] = "1"
     for k, (g, ref) in enumerate(zip(ref_groups, ref_names)):
         if tsc.group(k) != g:
             raise SelfTestError(
@@ -202,7 +203,8 @@ def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull, base):
                 raise SelfTestError(f"p!({name}) != {want or 0}")
             if name in ref_pull and tsc.pullback(k)(
                     base.named_element(k, ref_pull[name])) not in (x, -x):
-                raise SelfTestError(f"p*({ref_pull[name]}) != {name}")
+                raise SelfTestError(
+                    f"{PULLBACK.format(ref_pull[name])} != {name}")
     return BundleTable(tsc, tuple(tuple(ref) for ref in ref_names))
 
 

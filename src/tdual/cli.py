@@ -238,18 +238,20 @@ def _job_coset_partition(spec) -> dict:
                    partition=_coset_json(coset_partition(tsc, gen)))
 
 
+def _pinned_and_computed(pinned, computed) -> dict:
+    return {"reference": report.graded_json(pinned.groups, pinned.names),
+            "computed": report.graded_json(computed.table.groups,
+                                           computed.table.names)}
+
+
 def _r2_tables() -> dict:
-    out = classifying.r2_cohomology_computed()
-    return {"reference": report.graded_json(fixtures.R2_GROUPS,
-                                            fixtures.r2_cohomology().names),
-            "computed": report.graded_json(out.table.groups, out.table.names)}
+    return _pinned_and_computed(fixtures.r2_cohomology(),
+                                classifying.r2_cohomology_computed())
 
 
 def _r32_tables() -> dict:
-    out = classifying.r32_cohomology_computed()
-    return {"reference": report.graded_json(fixtures.R32_GROUPS,
-                                            fixtures.R32_NAMES),
-            "computed": report.graded_json(out.table.groups, out.table.names),
+    return {**_pinned_and_computed(fixtures.r32_cohomology(),
+                                   classifying.r32_cohomology_computed()),
             "note": ("computed degree 3 has rank 2; the reference table "
                      "lists rank 1 there (see README, known discrepancy)")}
 

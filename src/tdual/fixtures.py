@@ -114,12 +114,6 @@ def r32_cohomology() -> GradedCohomology:
     ], simply_connected=False)
 
 
-# groups per degree 0..4, for direct comparison with the computed table
-R32_GROUPS = (Z, Z, FgGroup(2), Z, FgGroup(3))
-R32_NAMES = (("1",), ("l",), ("a1", "a2"), ("a2l",), ("a1^2", "a2^2", "x"))
-
-R2_GROUPS = (Z, Z, Z, Z)
-
 # ---------------------------------------------------------------------------
 # pinned cohomology of the canonical bundle and its dual
 # ---------------------------------------------------------------------------
@@ -140,9 +134,10 @@ E32_HAT_PULLBACK_PREIMAGE = {"yhat": "l", "phat*(a1)": "a1"}
 # the self-map exchanging the two bundle classes
 # ---------------------------------------------------------------------------
 
-# matrices on H^*(R32) in the basis order of R32_NAMES, column convention;
-# on the bundles, T32 acts as dualize does on the universal triple
-# (E32, 0, h): tests/test_classifying.py checks that against the paper
+# matrices on H^*(R32) in the basis order of r32_cohomology(), column
+# convention; on the bundles, T32 acts as dualize does on the universal
+# triple (E32, 0, h): tests/test_classifying.py checks that against the
+# paper
 T32_ON_R32 = {
     0: IntMatrix.from_rows([[1]]),
     1: IntMatrix.from_rows([[0]]),            # l -> 0

@@ -47,6 +47,12 @@ from .abelian import (
 from .spaces import GradedCohomology, inherited_names, sum_named
 
 
+# The names a total-space generator inherits from a base generator g:
+# the pullback p*(g), and the class g.z that integrates over the fiber to g.
+PULLBACK = "p*({})"
+FIBER = "{}.z"
+
+
 class GysinError(ValueError):
     pass
 
@@ -86,22 +92,24 @@ class GysinDegree:
         return self.coker_proj.domain.element(coords)
 
 
-def split_degree(f: Hom, g: Hom, f_names, g_names, coker_label, ker_label,
-                 split: bool) -> GysinDegree:
+def split_degree(f: Hom, g: Hom, coker_names, ker_names,
+                 coker_synthetic, ker_synthetic, split: bool) -> GysinDegree:
     """One degree of a two-row sequence, coker(f) + ker(g) in split form.
 
-    f_names name f.codomain's generators, g_names g.domain's; coker_label
-    and ker_label are each side's (inherit, synthetic) pair for
-    inherited_names.  Torsion in ker(g) under a nonzero coker(f) leaves
-    the extension undetermined: the degree is ambiguous unless `split`.
+    coker_names are the names that f.codomain's generators pass on to the
+    cokernel, ker_names those that g.domain's pass on to the kernel; a
+    generator of either side that inherits none is named by that side's
+    synthetic(j) (see inherited_names).  Torsion in ker(g) under a
+    nonzero coker(f) leaves the extension undetermined: the degree is
+    ambiguous unless `split`.
     """
     ck, coker_proj = cokernel(f)
     kk, ker_incl = kernel(g)
     coker_sect = section_matrix(coker_proj)
-    cnames = inherited_names(coker_sect.columns(), f.codomain, f_names,
-                             *coker_label)
-    knames = inherited_names(ker_incl.matrix.columns(), g.domain, g_names,
-                             *ker_label)
+    cnames = inherited_names(coker_sect.columns(), f.codomain.moduli,
+                             coker_names, coker_synthetic)
+    knames = inherited_names(ker_incl.matrix.columns(), g.domain.moduli,
+                             ker_names, ker_synthetic)
     group, names, (into_coker, into_ker), (onto_coker, onto_ker) = sum_named(
         [(ck, cnames), (kk, knames)])
     return GysinDegree(
@@ -139,11 +147,10 @@ class TotalSpaceCohomology:
     def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
         base = self.base
         return split_degree(
-            self.cups[k], self.cups[k + 1], base.names[k],
-            base.names[k - 1] if k >= 1 else (),
-            (lambda s: f"p*({s})", lambda j: f"p*[{k}.{j}]"),
-            (lambda s: f"{s}.z", lambda j: f"z[{k}.{j}]"),
-            split=trivial)
+            self.cups[k], self.cups[k + 1],
+            [PULLBACK.format(s) for s in base.names[k]],
+            [FIBER.format(s) for s in base.names[k - 1]] if k else [],
+            lambda j: f"p*[{k}.{j}]", lambda j: f"z[{k}.{j}]", split=trivial)
 
     # -- accessors ---------------------------------------------------------
 

@@ -103,8 +103,10 @@ def _text_lines(doc, indent=0):
         for value in doc:
             if _inline(value):
                 lines.append(f"{pad}- {json.dumps(value)}")
-            else:
-                lines.extend(_text_lines(value, indent))
+            else:  # a block item: "- " takes the place of its first pad
+                item = _text_lines(value, indent + 1)
+                lines.append(f"{pad}- {item[0][len(pad) + 2:]}")
+                lines.extend(item[1:])
     return lines
 
 

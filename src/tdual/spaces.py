@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .abelian import (
     FgGroup,
@@ -213,65 +213,42 @@ def cohomology_of(space: CatalogSpace, max_degree: int) -> GradedCohomology:
 # generator names
 # ---------------------------------------------------------------------------
 
-def unit_index(coords: Sequence[int], group: FgGroup) -> Optional[int]:
-    """Index of the only nonzero coordinate when it is a unit, else None.
+def inherited_names(columns, moduli, names, synthetic) -> tuple:
+    """One name per coordinate column: names[i] when the column's only
+    nonzero entry is at i and is a unit there, else synthetic(j) for
+    column j.
 
     This is the one rule by which a canonical generator inherits a name:
-    its coordinates in a named group must be +-g for a single named
-    generator g.  A unit is +-1, and on a Z/d coordinate, which is stored
-    reduced, also d - 1.
+    its coordinates must be +-g for a single named generator g.  moduli[i]
+    is 0 for a free coordinate and d for a Z/d one; a unit is +-1, and on
+    a Z/d coordinate, which is stored reduced, also d - 1.
 
-    >>> unit_index((0, -1), FgGroup(2))
-    1
-    >>> unit_index((0, 2), FgGroup(1, (3,)))
-    1
-    >>> unit_index((0, 2), FgGroup(2)) is None
-    True
-    >>> unit_index((1, 1), FgGroup(2)) is None
-    True
+    >>> inherited_names([(0, -1), (0, 2), (1, 1)], (0, 0), "gh", "u{}".format)
+    ('h', 'u1', 'u2')
+    >>> inherited_names([(0, 2)], (0, 3), "gh", "u{}".format)
+    ('h',)
     """
-    nz = [i for i, c in enumerate(coords) if c != 0]
-    if len(nz) != 1:
-        return None
-    i = nz[0]
-    c = coords[i]
-    tors = i - group.free_rank
-    if c in (1, -1) or (tors >= 0 and c == group.torsion[tors] - 1):
-        return i
-    return None
-
-
-def inherited_names(columns, group: FgGroup, names, inherit, synthetic) -> tuple:
-    """One label per coordinate column in `group`, whose generators are
-    `names`: inherit(name) where unit_index finds a generator, else
-    synthetic(j) for column j."""
     labels = []
     for j, col in enumerate(columns):
-        i = unit_index(col, group)
-        labels.append(synthetic(j) if i is None else inherit(names[i]))
+        nz = [i for i, c in enumerate(col) if c]
+        unit = len(nz) == 1 and col[nz[0]] in (1, -1, moduli[nz[0]] - 1)
+        labels.append(names[nz[0]] if unit else synthetic(j))
     return tuple(labels)
 
 
 def sum_named(parts):
     """Direct sum of (group, names) pairs, tracking generator labels.
 
-    Returns (group, names, inclusions, projections).  A canonical
-    generator inherits a label when it projects to zero in all parts but
-    one, and to a unit multiple of one named generator there (see
-    unit_index); otherwise it gets the synthetic label u<i>.
+    Returns (group, names, inclusions, projections).  Each canonical
+    generator is named by inherited_names from its projections to the
+    parts written one above the other: it inherits a label when it
+    projects to zero in all parts but one, and to a unit multiple of one
+    named generator there; otherwise it gets the synthetic label u<i>.
     """
     groups = [g for g, _ in parts]
     total, incls, projs = direct_sum(groups)
-    columns = [p.matrix.columns() for p in projs]
-    names = []
-    for i in range(total.ngens):
-        hits = [(g, ns, cols[i]) for (g, ns), cols in zip(parts, columns)
-                if any(cols[i])]
-        label = f"u{i}"
-        if len(hits) == 1:
-            g, ns, col = hits[0]
-            j = unit_index(col, g)
-            if j is not None:
-                label = ns[j]
-        names.append(label)
-    return total, tuple(names), incls, projs
+    rows = [row for p in projs for row in p.matrix.entries]
+    names = inherited_names(
+        list(zip(*rows)), [m for g in groups for m in g.moduli],
+        [n for _, ns in parts for n in ns], "u{}".format)
+    return total, names, incls, projs

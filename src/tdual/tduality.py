@@ -14,12 +14,14 @@ b in H^2(E) and H in H^3(E).  The transform:
 beta and the base class of H are both read off the stored Gysin degree
 (`GysinDegree.lift`), and im(q*) is the stored cokernel summand of H^3(E#).
 
-The coset quotients H^2(E)/<p* p!(H)> and H^2(E#)/<q* q!(H#)> are
-isomorphic.  Where p* and q* are onto in degree two (always when the
-base has H^1 = 0) the natural isomorphism is induced by q* (p*)^-1;
-otherwise the canonical forms are matched directly and the report
-carries a CONJECTURE flag (the coset bijection is only proved over
-simply connected bases).
+Where p* and q* are onto in degree two (always when the base has
+H^1 = 0) the coset quotients H^2(E)/<p* p!(H)> and H^2(E#)/<q* q!(H#)>
+are isomorphic, by the natural map induced by q* (p*)^-1.  Otherwise they
+need not be: equal canonical forms are matched directly, different ones
+get no witness (the universal triple (E32, 0, h) gives Z against 0), and
+the report carries a CONJECTURE flag either way (the coset bijection is
+only proved over simply connected bases; ROADMAP item 3 transports b
+through H^2(W)/<e, e#> instead).
 """
 
 from __future__ import annotations
@@ -148,8 +150,7 @@ def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
         # coordinate at a time from its row of the section and reduced
         # modulo its torsion order
         coords = []
-        for row, t in zip(section_matrix(proj).entries,
-                          (0,) * h2.free_rank + h2.torsion):
+        for row, t in zip(section_matrix(proj).entries, h2.moduli):
             vals = [0]
             for c, d in zip(row, quotient.torsion):
                 vals = [v + k * c for v in vals for k in range(d)]

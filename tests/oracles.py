@@ -1,17 +1,18 @@
 """Independent brute-force oracles for the exact-arithmetic layer.
 
-Apart from the last eight sections, nothing in here uses the package's
+Apart from the last nine sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
 (gcds of k x k minors), determinants from fraction-free elimination, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
-The last eight sections use package code: the per-element solving path
+The last nine sections use package code: the per-element solving path
 (one Smith form per element or lattice column) that batched code must
 match, the per-coset lifts that coset enumeration must match, the
 invariants and coinvariants of a deck action, the orbit normal form of a
 unipotent deck action, the circle Kunneth product built from the
-package's direct sums, triples built from coordinates, and the coset
-witness induced through H^2(W)/<e, e#>.
+package's direct sums, the direct-sum naming rule stated part by part,
+triples built from coordinates, and the coset witness induced through
+H^2(W)/<e, e#>.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from tdual.abelian import (
     _preimage_of_zero_lattice,
     _snf_with_inverses,
     cokernel,
+    direct_sum,
     hom_inverse,
     is_isomorphism,
     kernel,
@@ -475,6 +477,45 @@ def kunneth_with_circle(w: GradedCohomology) -> GradedCohomology:
         cup_gens=cup_table,
         simply_connected=False,
     )
+
+
+# ---------------------------------------------------------------------------
+# direct-sum names, part by part (uses package code)
+# ---------------------------------------------------------------------------
+
+def unit_index(coords, group):
+    """Index of the only nonzero coordinate when it is a unit (+-1, or
+    d - 1 on a Z/d coordinate), else None."""
+    nz = [i for i, c in enumerate(coords) if c != 0]
+    if len(nz) != 1:
+        return None
+    i = nz[0]
+    c = coords[i]
+    tors = i - group.free_rank
+    if c in (1, -1) or (tors >= 0 and c == group.torsion[tors] - 1):
+        return i
+    return None
+
+
+def sum_names_by_parts(parts):
+    """The generator names of sum_named(parts), decided one part at a
+    time: a generator that projects to zero in all parts but one, and to
+    a unit multiple of one generator there, takes its name; any other
+    generator i is u<i>."""
+    total, _, projs = direct_sum([g for g, _ in parts])
+    columns = [p.matrix.columns() for p in projs]
+    names = []
+    for i in range(total.ngens):
+        hits = [(g, ns, cols[i]) for (g, ns), cols in zip(parts, columns)
+                if any(cols[i])]
+        label = f"u{i}"
+        if len(hits) == 1:
+            g, ns, col = hits[0]
+            j = unit_index(col, g)
+            if j is not None:
+                label = ns[j]
+        names.append(label)
+    return tuple(names)
 
 
 # ---------------------------------------------------------------------------

@@ -211,7 +211,7 @@ def test_criterion_1_flux_transport_details():
 
 def test_criterion_2_r2_tables():
     out = r2_cohomology_computed()
-    assert tuple(out.table.groups) == fixtures.R2_GROUPS == (Z, Z, Z, Z)
+    assert out.table.groups == fixtures.r2_cohomology().groups == (Z, Z, Z, Z)
     assert out.ambiguous == ()
     tables = homotopy_report()
     assert tables["r2"] == {1: (1, []), 2: (2, []), 3: (0, []), 4: (0, [])}
@@ -236,15 +236,16 @@ def test_criterion_3_r32_tables():
     alias = {"a2c": "x"}
     computed_names = [tuple(alias.get(n, n) for n in t.names[k])
                       for k in range(5)]
+    pinned = fixtures.r32_cohomology()
     mismatches = []
     for k in range(5):
-        if t.group(k) != fixtures.R32_GROUPS[k] or \
-                set(computed_names[k]) != set(fixtures.R32_NAMES[k]):
+        if t.group(k) != pinned.group(k) or \
+                set(computed_names[k]) != set(pinned.names[k]):
             mismatches.append(
                 f"H^{k}: computed {t.group(k).describe()} "
                 f"{sorted(computed_names[k])}, reference "
-                f"{fixtures.R32_GROUPS[k].describe()} "
-                f"{sorted(fixtures.R32_NAMES[k])}")
+                f"{pinned.group(k).describe()} "
+                f"{sorted(pinned.names[k])}")
     note(3, "FAIL (expected)",
          "; ".join(mismatches) if mismatches else "no mismatch?!")
     assert not mismatches
@@ -256,10 +257,11 @@ def test_criterion_3_r32_tables_agree_outside_degree_3():
     out = r32_cohomology_computed()
     t = out.table
     alias = {"a2c": "x"}
+    pinned = fixtures.r32_cohomology()
     for k in (0, 1, 2, 4):
-        assert t.group(k) == fixtures.R32_GROUPS[k]
+        assert t.group(k) == pinned.group(k)
         got = {alias.get(n, n) for n in t.names[k]}
-        assert got == set(fixtures.R32_NAMES[k])
+        assert got == set(pinned.names[k])
     assert t.group(3) == FgGroup(2)  # the forced rank-2 value
     tables = homotopy_report()
     assert tables["r32"] == {1: (1, []), 2: (3, []), 3: (1, []), 4: (0, [])}

@@ -280,6 +280,9 @@ def test_job_that_is_not_an_object_exits_2(tmp_path, capsys, batch):
     ("flux", {"mode": "dualize", "base": "T2", "euler": "0", "flux": "1, x"}),
     ("flux", {"mode": "dualize", "base": "T2", "euler": "0",
               "flux": "p*(vol),1"}),
+    # an integer out of range is refused like a non-integer
+    ("max_degree", {"mode": "cohomology", "base": "S2", "max_degree": 12}),
+    ("max_degree", {"mode": "cohomology", "base": "S2", "max_degree": -1}),
 ])
 def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
     _assert_job_refused(tmp_path, capsys, field, job)
@@ -296,6 +299,8 @@ def test_non_integer_job_field_exits_2(tmp_path, capsys, field, job):
     ("space", {"mode": "classifying-tables", "space": "e_32"}),
     ("space", {"mode": "classifying-tables", "space": "r32"}),
     ("space", {"mode": "classifying-tables", "space": ["R2"]}),
+    # and the one field a bundle mode cannot do without
+    ("base", {"mode": "cohomology", "euler": "0"}),
 ])
 def test_field_outside_the_mode_exits_2(tmp_path, capsys, field, job):
     _assert_job_refused(tmp_path, capsys, field, job)
@@ -354,6 +359,66 @@ def test_text_format_is_stable():
     _, out2 = run_cli(["tables", "R2", "--format", "text"])
     assert code == EXIT_OK and out1 == out2
     assert "reference" in out1
+
+
+COSET_TEXT = """\
+flags: []
+generators: ["p*(vol)"]
+h2:
+  display: "Z/3"
+  rank: 0
+  torsion: [3]
+input:
+  base: "S2"
+  euler: "3"
+  gen: "0"
+  max_degree: 2
+  mode: "coset-partition"
+mode: "coset-partition"
+partition:
+  coset: [0]
+  coset_representatives:
+    - [0]
+    - [1]
+    - [2]
+  projection:
+    cols: 1
+    entries:
+      - [1]
+    rows: 1
+  quotient:
+    display: "Z/3"
+    rank: 0
+    torsion: [3]
+  representative: [0]
+  subgroup_generator: [0]
+schema_version: 1
+"""
+
+
+def test_text_of_one_report_is_pinned():
+    code, out = run_cli(["coset-partition", "--base", "S2", "--euler", "3",
+                         "--max-degree", "2", "--format", "text"])
+    assert code == EXIT_OK and out == COSET_TEXT
+
+
+def test_text_run_marks_each_report(tmp_path):
+    jobs = [{"mode": "cohomology", "base": "S2", "euler": "2"},
+            {"mode": "coset-partition", "base": "S2", "euler": "3",
+             "max_degree": 2}]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(jobs))
+    code, out = run_cli(["run", str(path), "--format", "text"])
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[0] == "reports:" and lines[-1] == "schema_version: 1"
+    items = [i for i, line in enumerate(lines) if line.startswith("  - ")]
+    assert len(items) == 2
+    # each item is its job's own text, marked "- " and indented under it
+    for start, job in zip(items, jobs):
+        single = report.emit_text(run_job(job)).splitlines()
+        assert lines[start:start + len(single)] == (
+            ["  - " + single[0]] + ["    " + line for line in single[1:]])
 
 
 def test_empty_flags_serialize_as_empty_list():

@@ -1,17 +1,21 @@
 """Generator naming: the one inheritance rule and what it names.
 
-unit_index decides for every table whether a canonical generator
-inherits a name.  The catalog sweep checks that the inherited names of
-every total space mean what they say: p*(g) is the pullback of g, and
-g.z integrates over the fiber to g, both up to sign.
+spaces.inherited_names decides for every table whether a canonical
+generator inherits a name, the direct sums of sum_named included.  The
+catalog sweep checks that the inherited names of every total space mean
+what they say: p*(g) is the pullback of g, and g.z integrates over the
+fiber to g, both up to sign.
 """
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdual.abelian import FgGroup
 from tdual.gysin import CircleBundle, total_space_cohomology
-from tdual.spaces import cohomology_of, parse_space, unit_index
+from tdual.spaces import cohomology_of, inherited_names, parse_space, sum_named
+
+from .oracles import sum_names_by_parts
 
 MAX_GENS = 8
 
@@ -41,13 +45,57 @@ def group_and_element(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(group_and_element())
-def test_unit_index_finds_exactly_the_signed_generators(case):
+def test_inherited_names_finds_exactly_the_signed_generators(case):
     group, x = case
-    want = None
-    for i, g in enumerate(group.generators()):
+    names = [f"g{i}" for i in range(group.ngens)]
+    want = "u0"
+    for name, g in zip(names, group.generators()):
         if x in (g, -g):
-            want = i
-    assert unit_index(x.coords, group) == want
+            want = name
+    assert inherited_names([x.coords], group.moduli, names,
+                           "u{}".format) == (want,)
+
+
+@st.composite
+def named_parts(draw):
+    """One to three named groups with small torsion, so that coprime
+    factors of different parts recombine in the sum (Z/2 + Z/3 = Z/6)."""
+    parts = []
+    for p in range(draw(st.integers(1, 3))):
+        chain = []
+        for _ in range(draw(st.integers(0, 2))):
+            chain.append(chain[-1] * draw(st.sampled_from([1, 2, 3]))
+                         if chain else draw(st.integers(2, 9)))
+        group = FgGroup(draw(st.integers(0, 1)), tuple(chain))
+        parts.append((group, tuple(f"{'abc'[p]}{i}"
+                                   for i in range(group.ngens))))
+    return parts
+
+
+Z = FgGroup(1)
+Z2, Z3, Z8 = (FgGroup(0, (d,)) for d in (2, 3, 8))
+Z3_9 = FgGroup(0, (3, 9))
+
+# (parts, names of their sum)
+TWO_PARTS = {
+    # Z/2 + Z/3 = Z/6: the generator projects to both parts
+    "Z/2+Z/3": ([(Z2, ("a",)), (Z3, ("b",))], ("u0",)),
+    "Z+Z/2": ([(Z, ("a",)), (Z2, ("b",))], ("a", "b")),
+    # Z/3 + Z/72: the Z/3 generator is 2 = 3 - 1 times a0, a unit
+    "Z/3+Z/9+Z/8": ([(Z3_9, ("a0", "a1")), (Z8, ("b",))], ("a0", "u1")),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_parts())
+@example(TWO_PARTS["Z/3+Z/9+Z/8"][0])
+def test_sum_named_follows_the_rule_part_by_part(parts):
+    assert sum_named(parts)[1] == sum_names_by_parts(parts)
+
+
+@pytest.mark.parametrize("parts,names", TWO_PARTS.values(), ids=TWO_PARTS)
+def test_sum_named_on_two_parts(parts, names):
+    assert sum_named(parts)[1] == names == sum_names_by_parts(parts)
 
 
 def _bundles(name):

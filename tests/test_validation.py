@@ -5,7 +5,8 @@ FgGroup, reduce_coords and scale) check their input; they reject anything
 that is not an int instead of truncating it.  Every matrix the engine
 computes from checked ones is built by the unchecked IntMatrix._of, so
 each must already be what the check would have made of it: the oracle
-re-checks the matrices of every function that builds with _of.
+re-checks the matrices of every function that builds with _of.  The
+layers above refuse classes from the wrong degree the same way.
 """
 
 import re
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdual import report
 from tdual.abelian import (
     FgGroup,
     Hom,
@@ -29,6 +31,9 @@ from tdual.abelian import (
     kernel,
     section_matrix,
 )
+from tdual.gysin import CircleBundle, total_space_cohomology
+from tdual.spaces import cohomology_of, parse_space
+from tdual.tduality import Triple, coset_partition
 
 from . import oracles
 
@@ -168,10 +173,31 @@ def test_empty_presentation_equals_the_smith_form_path(shape):
     lambda: FgGroup(0, (2,)).element([3.7]),
     lambda: FgGroup(1).element([False]),
     lambda: FgGroup(1).generator(0).scale(0.5),
+    # above the integer layer, values from the wrong place: a triple below
+    # degree 3, b or the flux in the wrong degree, a coset generator
+    # outside H^2, an unknown report format
+    lambda: Triple(_s2_total(2), *_s2_classes(_s2_total(2), 2, 3)),
+    lambda: Triple(_s2_total(3), *_s2_classes(_s2_total(3), 3, 3)),
+    lambda: Triple(_s2_total(3), *_s2_classes(_s2_total(3), 2, 2)),
+    lambda: coset_partition(_s2_total(3), _s2_total(3).group(3).generator(0)),
+    lambda: report.emit({}, "yaml"),
 ])
 def test_public_constructors_reject_non_integers(build):
     with pytest.raises(ValueError):
         build()
+
+
+def _s2_total(top):
+    """The lens space over S2 with Euler class 2: H^2 = Z/2, H^3 = Z."""
+    base = cohomology_of(parse_space("S2"), top + 1)
+    return total_space_cohomology(
+        CircleBundle(base, base.named_element(2, "vol").scale(2)), top)
+
+
+def _s2_classes(tsc, b_degree, flux_degree):
+    """Zero classes for b and the flux, in the given degrees."""
+    return (tsc.group(b_degree).zero_element(),
+            tsc.group(flux_degree).zero_element())
 
 
 def test_integer_input_is_stored_as_given():
