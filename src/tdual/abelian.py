@@ -412,13 +412,18 @@ class FgGroup:
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
         if not all(type(c) is int for c in coords):
             raise ValueError(f"coordinates must be integers, got {list(coords)!r}")
-        out = list(coords)
-        for i, d in enumerate(self.torsion):
-            out[self.free_rank + i] %= d
-        return tuple(out)
+        return self._element(coords).coords
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
         return GroupElement(self, tuple(coords))
+
+    def _element(self, coords: Sequence[int]) -> "GroupElement":
+        """element() without the int check: coords must be ngens ints."""
+        x = object.__new__(GroupElement)
+        object.__setattr__(x, "group", self)
+        object.__setattr__(x, "coords", tuple(coords) if not self.torsion else tuple(
+            c % d if d else c for c, d in zip(coords, self.moduli)))
+        return x
 
     def zero_element(self) -> "GroupElement":
         return self.element([0] * self.ngens)
@@ -469,7 +474,7 @@ class GroupElement:
     def __add__(self, other: "GroupElement") -> "GroupElement":
         if other.group != self.group:
             raise ValueError("elements of different groups")
-        return self.group.element([a + b for a, b in zip(self.coords, other.coords)])
+        return self.group._element([a + b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self) -> "GroupElement":
         return self.group.element([-a for a in self.coords])
@@ -515,24 +520,33 @@ class Hom:
                 raise HomError(f"ill-defined on torsion generator {j} of order {d}")
 
     @classmethod
+    def _of(cls, domain: FgGroup, codomain: FgGroup, matrix: IntMatrix) -> "Hom":
+        """Unchecked: matrix must be reduced and well defined on torsion."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "domain", domain)
+        object.__setattr__(h, "codomain", codomain)
+        object.__setattr__(h, "matrix", matrix)
+        return h
+
+    @classmethod
     def zero(cls, domain: FgGroup, codomain: FgGroup) -> "Hom":
-        return cls(domain, codomain,
-                   IntMatrix.zeros(codomain.ngens, domain.ngens))
+        return cls._of(domain, codomain, IntMatrix.zeros(codomain.ngens, domain.ngens))
 
     @classmethod
     def identity(cls, group: FgGroup) -> "Hom":
-        return cls(group, group, IntMatrix.identity(group.ngens))
+        return cls._of(group, group, IntMatrix.identity(group.ngens))
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:
             raise HomError("element not in the domain")
-        return self.codomain.element(self.matrix.vec(x.coords))
+        return self.codomain._element(self.matrix.vec(x.coords))
 
     def compose(self, inner: "Hom") -> "Hom":
         """self after inner."""
         if inner.codomain != self.domain:
             raise HomError("non-composable homomorphisms")
-        return Hom(inner.domain, self.codomain, self.matrix @ inner.matrix)
+        return Hom._of(inner.domain, self.codomain, _reduce_matrix(
+            self.codomain, self.matrix @ inner.matrix))
 
     def is_zero_map(self) -> bool:
         return self.matrix.is_zero()
@@ -610,7 +624,7 @@ def _stacked(h: Hom) -> IntMatrix:
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
     group, proj, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
-    return group, Hom(h.codomain, group, proj)
+    return group, Hom._of(h.codomain, group, _reduce_matrix(group, proj))
 
 
 def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
@@ -627,7 +641,7 @@ def kernel(h: Hom) -> tuple[FgGroup, Hom]:
     na = h.domain.ngens
     lattice = _preimage_of_zero_lattice(h)
     group, reps = sublattice_quotient(na, lattice, h.domain.relations())
-    return group, Hom(group, h.domain, reps)
+    return group, Hom._of(group, h.domain, _reduce_matrix(h.domain, reps))
 
 
 def image(h: Hom) -> tuple[FgGroup, Hom]:
@@ -721,15 +735,14 @@ def direct_sum(summands: Sequence[FgGroup]):
     rel_cols = [(0,) * off + col + (0,) * (n - off - g.ngens)  # block diagonal
                 for g, off in zip(summands, offsets) for col in g.relations().columns()]
     group, proj, sect = cokernel_presentation(n, _from_columns(rel_cols, n))
-    inclusions = []
-    projections = []
+    inclusions, projections = [], []
     for g, off in zip(summands, offsets):
         # summand g owns columns off.. of proj and rows off.. of sect
         cols = IntMatrix._of(group.ngens, g.ngens,
                              tuple(row[off:off + g.ngens] for row in proj.entries))
-        inclusions.append(Hom(g, group, cols))
+        inclusions.append(Hom._of(g, group, _reduce_matrix(group, cols)))
         rows = IntMatrix._of(g.ngens, group.ngens, sect.entries[off:off + g.ngens])
-        projections.append(Hom(group, g, rows))
+        projections.append(Hom._of(group, g, _reduce_matrix(g, rows)))
     return group, inclusions, projections
 
 
@@ -737,5 +750,5 @@ def quotient_by(ambient: FgGroup,
                 elements: Sequence[GroupElement]) -> tuple[FgGroup, Hom]:
     """ambient / <elements>, with the canonical projection."""
     cols = IntMatrix.from_columns([x.coords for x in elements], ambient.ngens)
-    return cokernel(Hom(FgGroup(len(elements)), ambient, cols))
+    return cokernel(Hom._of(FgGroup(len(elements)), ambient, cols))  # free domain
 

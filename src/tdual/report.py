@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii
 from .abelian import FgGroup, Hom, IntMatrix
 
 SCHEMA_VERSION = 1
+_LITERALS = {True: "true", False: "false", None: "null"}  # json.dumps of each
 
 
 def group_json(g: FgGroup) -> dict:
@@ -34,10 +35,8 @@ def hom_json(h: Hom) -> dict:
 
 
 def graded_json(groups, names) -> dict:
-    out = {}
-    for k, (g, ns) in enumerate(zip(groups, names)):
-        out[str(k)] = {"group": group_json(g), "generators": list(ns)}
-    return out
+    return {str(k): {"group": group_json(g), "generators": list(ns)}
+            for k, (g, ns) in enumerate(zip(groups, names))}
 
 
 def total_space_json(tsc) -> dict:
@@ -57,15 +56,21 @@ def emit_json(doc: dict) -> str:
 
 def _json(value, nl: str) -> str:
     """value as json.dumps writes it, nested at the indent that ends nl."""
-    if type(value) is str:
+    if (kind := type(value)) is str:
         return encode_basestring_ascii(value)
-    if not value or not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)            # other scalars, {} and []
+    if kind is int:
+        return str(value)
+    if kind is bool or value is None:   # 1 == True: look up bools only
+        return _LITERALS[value]
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)            # floats, int subclasses, ...
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
     inner = nl + "  "
     if isinstance(value, dict):
-        items = [encode_basestring_ascii(k) + ": " + _json(value[k], inner)
-                 for k in sorted(value)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
+        items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
+                 for k in sorted(value)]   # f-strings: one new string per item
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
     if all(type(x) is int for x in value):  # not bool, which prints true
         items = map(str, value)
     elif (type(value[0]) in (list, tuple)   # all lists or all tuples
@@ -78,7 +83,7 @@ def _json(value, nl: str) -> str:
         items = [row % tuple(x) for x in value]
     else:
         items = [_json(x, inner) for x in value]
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
 def _inline(value) -> bool:

@@ -142,7 +142,7 @@ def torus_cup_matrix(n: int, euler: dict) -> list:
 
 
 # ---------------------------------------------------------------------------
-# matrices as the public constructor checks them
+# matrices and homs as the public constructors check them
 # ---------------------------------------------------------------------------
 
 def is_checked_matrix(m) -> bool:
@@ -153,6 +153,17 @@ def is_checked_matrix(m) -> bool:
     try:
         return IntMatrix(m.rows, m.cols, m.entries) == m
     except ValueError:
+        return False
+
+
+def is_checked_hom(h) -> bool:
+    """True iff h passes the check that the engine skips for the homs it
+    derives from checked ones: its matrix is a checked matrix, and the
+    public Hom constructor accepts the fields (so h is well defined on
+    torsion) and gives h back (so its torsion rows were stored reduced)."""
+    try:
+        return is_checked_matrix(h.matrix) and Hom(h.domain, h.codomain, h.matrix) == h
+    except ValueError:  # HomError included
         return False
 
 

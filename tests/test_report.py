@@ -1,13 +1,17 @@
 """The report JSON writer must give exactly json.dumps' bytes.
 
-emit_json joins int lists and formats lists of int rows itself instead
-of calling the indenting encoder, so its output is compared with
-json.dumps(doc, sort_keys=True, indent=2) + "\\n" over drawn report-shaped
-values and over the reports of every catalog base.
+emit_json writes strings, ints, bools, None, empty containers, int lists
+and lists of int rows itself instead of calling the indenting encoder, so
+its output is compared with json.dumps(doc, sort_keys=True, indent=2) +
+"\\n" over drawn report-shaped values and over the reports of every
+catalog base.  Only str keys are written: any other key raises the
+TypeError of json's string encoder.
 """
 
+import enum
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,8 +24,19 @@ BASES = (["point"] + [f"S{n}" for n in range(1, 9)] + ["T2"]
 TABLES = ["R2", "R32", "E32", "homotopy"]
 
 
+class Level(enum.IntEnum):
+    LOW = 1
+
+
 def reference(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def str_keys_only(doc) -> bool:
+    if isinstance(doc, dict):
+        return all(type(k) is str for k in doc) and all(map(str_keys_only,
+                                                             doc.values()))
+    return not isinstance(doc, (list, tuple)) or all(map(str_keys_only, doc))
 
 
 texts = st.one_of(
@@ -57,8 +72,23 @@ report_values = st.recursive(
 @example([[1, 2], (3, 4)])              # a tuple row
 @example([(1, 2), (3, -4), (2 ** 70, 0)])  # all tuple rows
 @example([[1, 2], {"a": [[3, 4]]}])     # rows mixed with a dict
+@example({"a": True, "b": 1, "c": 0, "d": False})  # 1 == True, 0 == False
+@example([1, True, None, 0, False])
+@example({"t": (), "d": {}, "l": [], "x": [(), {}, []]})
+@example(())
+@example({})
+@example([])
+@example({"f": 1.5, "e": Level.LOW, "l": [Level.LOW, 2.5, -0.0]})  # json.dumps
+@example(3)
+@example("x")
+@example(None)
+@example({"a": {1: "one"}})             # not a str key
 def test_emit_json_equals_json_dumps(doc):
-    assert emit_json(doc) == reference(doc)
+    if str_keys_only(doc):
+        assert emit_json(doc) == reference(doc)
+    else:
+        with pytest.raises(TypeError, match="^first argument must be a string, not int$"):
+            emit_json(doc)
 
 
 def _sweep_jobs():

@@ -1,12 +1,18 @@
 """The validation boundary of the integer layer.
 
 Only the public constructors (IntMatrix(...), from_rows, from_columns,
-FgGroup, reduce_coords and scale) check their input; they reject anything
-that is not an int instead of truncating it.  Every matrix the engine
-computes from checked ones is built by the unchecked IntMatrix._of, so
-each must already be what the check would have made of it: the oracle
-re-checks the matrices of every function that builds with _of.  The
-layers above refuse classes from the wrong degree the same way.
+FgGroup, element, reduce_coords, scale and Hom(...)) check their input;
+they reject anything that is not an int, and Hom a map that is not well
+defined on torsion, instead of truncating it.  Every matrix the engine
+computes from checked ones is built by the unchecked IntMatrix._of, and
+every hom it derives from checked ones (compose, the cokernel projection,
+the kernel embedding, the direct-sum maps, Hom.zero, Hom.identity and the
+map onto the elements quotient_by divides out) by the unchecked Hom._of,
+with elements added or mapped by the unchecked FgGroup._element.  So each
+must already be what the check would have made of it: the oracles
+re-check the matrices and homs of every function that builds with _of,
+and every hom built while the catalog sweep runs.
+The layers above refuse classes from the wrong degree the same way.
 """
 
 import re
@@ -20,6 +26,7 @@ from hypothesis import strategies as st
 from tdual import report
 from tdual.abelian import (
     FgGroup,
+    GroupElement,
     Hom,
     IntMatrix,
     _smith,
@@ -36,6 +43,7 @@ from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import Triple, coset_partition
 
 from . import oracles
+from .test_report import _sweep_jobs
 
 ROOT = Path(__file__).resolve().parent.parent
 DENSE_8X8 = [[(7 * i + 3 * j) % 19 - 9 for j in range(8)] for i in range(8)]
@@ -71,10 +79,11 @@ def groups(draw):
 
 
 @st.composite
-def homs(draw):
+def homs(draw, domain=None):
     """A well-defined hom: a torsion generator of order d goes to an
     element that d kills."""
-    domain, codomain = draw(groups()), draw(groups())
+    domain = draw(groups()) if domain is None else domain
+    codomain = draw(groups())
     cols = []
     for j in range(domain.ngens):
         d = domain.torsion[j - domain.free_rank] if j >= domain.free_rank else 0
@@ -82,6 +91,16 @@ def homs(draw):
         col += [draw(entries) * (e // gcd(d, e)) for e in codomain.torsion]
         cols.append(col)
     return Hom(domain, codomain, IntMatrix.from_columns(cols, codomain.ngens))
+
+
+@st.composite
+def composable(draw):
+    """(h, g) with g after h defined."""
+    h = draw(homs())
+    return h, draw(homs(h.codomain))
+
+
+Z3 = FgGroup(0, (3,))
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +130,44 @@ def test_kernel_cokernel_image_and_section_are_checked_matrices(h):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(groups(), max_size=4))
+@example([FgGroup(0, (2,)), Z3])       # Z/2 + Z/3 = Z/6: entries to reduce
 def test_direct_sum_maps_are_checked_matrices(summands):
     _, inclusions, projections = direct_sum(summands)
-    assert checked(*(f.matrix for f in inclusions + projections))
+    assert all(map(oracles.is_checked_hom, inclusions + projections))
+
+
+@settings(max_examples=150, deadline=None)
+@given(composable())
+# 2 * 2 = 4, stored as 1 in Z/3
+@example((Hom(FgGroup(1), Z3, IntMatrix.from_rows([[2]])),
+          Hom(Z3, Z3, IntMatrix.from_rows([[2]]))))
+def test_derived_homs_are_checked_homs(pair):
+    h, g = pair
+    derived = [kernel(h)[1], cokernel(h)[1], g.compose(h),
+               Hom.zero(h.domain, g.codomain), Hom.identity(h.codomain)]
+    assert all(map(oracles.is_checked_hom, derived))
+    x = h.domain.generators()
+    for a, b in zip(x, x[1:] + x[:1]):     # _element: sums and images
+        for y in (a + b, h(a)):
+            assert GroupElement(y.group, y.coords) == y
+
+
+def test_every_hom_of_the_catalog_sweep_is_checked(monkeypatch):
+    built = []
+    unchecked = Hom._of
+
+    def recording(domain, codomain, matrix):
+        built.append(unchecked(domain, codomain, matrix))
+        return built[-1]
+
+    monkeypatch.setattr(Hom, "_of", staticmethod(recording))
+    total_space_cohomology.cache_clear()   # build every table again
+    try:
+        reports = list(_sweep_jobs())
+    finally:
+        total_space_cohomology.cache_clear()
+    assert len(reports) > 200 and len(built) > 1000
+    assert all(map(oracles.is_checked_hom, built))
 
 
 @settings(max_examples=150, deadline=None)
