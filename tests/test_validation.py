@@ -11,8 +11,8 @@ map onto the elements quotient_by divides out) by the unchecked Hom._of,
 with elements added or mapped by the unchecked FgGroup._element.  So each
 must already be what the check would have made of it: the oracles
 re-check the matrices and homs of every function that builds with _of,
-and every hom built while the catalog sweep runs.
-The layers above refuse classes from the wrong degree the same way.
+and every hom built while the catalog sweep runs.  The layers above
+refuse classes from the wrong degree the same way.
 """
 
 import re
