@@ -139,24 +139,15 @@ class IntMatrix:
 # hundreds of thousands of bits.  A step R_i -= q * R_j lengthens entries
 # by at most q.bit_length() + 1 bits; once the greedy steps could have
 # grown them by _GREEDY_BITS_PER_LINE bits per row and column (at most
-# _GREEDY_GROWTH_BITS), the factorization starts over with Hermite
-# reduction, which keeps every entry near the size of the input.  On the
+# _GREEDY_GROWTH_BITS), greedy stops and Hermite reduction finishes from
+# the partly reduced matrix and the transforms greedy built so far;
+# Hermite reduction keeps every entry near the size of its input.  On the
 # benchmark's batch-mix and coset-enum corpora (seeds 0-31) greedy growth
 # peaks at 61 bits on an 11 x 2 system, 4.7 per line: a 3.4x margin.  A
 # matrix past its budget but under 1,024 bits gets the same d from the
-# bounded path with smaller transforms, so its reports differ from greedy.
+# bounded finish with other transforms, so its reports differ from greedy.
 _GREEDY_GROWTH_BITS = 1024
 _GREEDY_BITS_PER_LINE = 16
-
-
-def _snf_with_inverses(m: IntMatrix):
-    """Smith normal form with the change-of-basis matrices callers read.
-
-    Returns (u, uinv, d, v) with u*m*v = d; u, v unimodular and uinv the
-    exact inverse of u.  d is diagonal, nonnegative, and its diagonal
-    forms a divisibility chain (zeros trailing).
-    """
-    return _smith(m, greedy=True)
 
 
 def _hermite(a, width, t, tinv=None):
@@ -200,9 +191,15 @@ def _hermite(a, width, t, tinv=None):
         r += 1
 
 
-def _smith(m: IntMatrix, greedy: bool):
-    """Greedy pivoting, or alternating row and column Hermite forms
-    (Kannan and Bachem) followed by gcd/lcm steps on the diagonal."""
+def _snf_with_inverses(m: IntMatrix):
+    """Smith normal form with the change-of-basis matrices callers read.
+
+    Returns (u, uinv, d, v) with u*m*v = d; u, v unimodular and uinv the
+    exact inverse of u.  d is diagonal, nonnegative, and its diagonal
+    forms a divisibility chain (zeros trailing).  Greedy pivoting runs
+    first; past its budget, alternating row and column Hermite forms
+    (Kannan and Bachem) and gcd/lcm steps finish from where it stopped.
+    """
     rows, cols = m.shape
     budget = min(_GREEDY_GROWTH_BITS, _GREEDY_BITS_PER_LINE * (rows + cols))
     a = [list(row) for row in m.entries]
@@ -237,82 +234,81 @@ def _smith(m: IntMatrix, greedy: bool):
                 row[i], row[j] = row[j], row[i]
             v[i], v[j] = v[j], v[i]
 
-    def row_negate(i):
-        for x in (a, u, uinv):
-            x[i] = [-y for y in x[i]]
-
-    t = 0
-    while greedy and t < min(rows, cols):
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None
-                                     or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        row_swap(t, pivot[0])
-        col_swap(t, pivot[1])
-        while True:
-            if grown > budget:
-                return _smith(m, greedy=False)
-            moved = False
-            for i in range(rows):
-                if i != t and a[i][t] != 0:
-                    q = a[i][t] // a[t][t]
-                    row_sub(i, t, q)
-                    if a[i][t] != 0:
-                        row_swap(i, t)
-                        moved = True
-            if moved:
-                continue
-            for j in range(cols):
-                if j != t and a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    col_sub(j, t, q)
-                    if a[t][j] != 0:
-                        col_swap(j, t)
-                        moved = True
-            if moved:
-                continue
-            # row and column are clear; force pivot | rest of the submatrix
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if a[i][j] % a[t][t] != 0:
-                        offender = i
+    def greedy():
+        """Pivot on the smallest entry left; False once past the budget."""
+        for t in range(min(rows, cols)):
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if a[i][j] != 0 and (pivot is None
+                                         or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                return True
+            row_swap(t, pivot[0])
+            col_swap(t, pivot[1])
+            while True:
+                if grown > budget:
+                    return False
+                moved = False
+                for i in range(rows):
+                    if i != t and a[i][t] != 0:
+                        q = a[i][t] // a[t][t]
+                        row_sub(i, t, q)
+                        if a[i][t] != 0:
+                            row_swap(i, t)
+                            moved = True
+                if moved:
+                    continue
+                for j in range(cols):
+                    if j != t and a[t][j] != 0:
+                        q = a[t][j] // a[t][t]
+                        col_sub(j, t, q)
+                        if a[t][j] != 0:
+                            col_swap(j, t)
+                            moved = True
+                if moved:
+                    continue
+                # row and column are clear; force pivot | rest of the submatrix
+                offender = None
+                for i in range(t + 1, rows):
+                    for j in range(t + 1, cols):
+                        if a[i][j] % a[t][t] != 0:
+                            offender = i
+                            break
+                    if offender is not None:
                         break
-                if offender is not None:
+                if offender is None:
                     break
-            if offender is None:
-                break
-            row_sub(t, offender, -1)  # R_t += R_offender, then keep reducing
-        t += 1
+                row_sub(t, offender, -1)  # R_t += R_offender, then keep reducing
+        return True
 
-    lines = 0  # row and column passes, at least one, until a is diagonal
-    while not greedy and (lines == 0 or any(
-            a[i][j] for i in range(rows) for j in range(cols) if i != j)):
-        if lines % 2 == 0:
-            _hermite(a, cols, u, uinv)
-        else:
-            a = [list(col) for col in zip(*a)]
-            _hermite(a, rows, v)
-            a = [list(row) for row in zip(*a)]
-        lines += 1
-    # a diagonal echelon form keeps its zeros last; make it a chain
-    rank = 0 if greedy else sum(1 for i in range(min(rows, cols)) if a[i][i])
-    for i in range(rank):
-        for j in range(i + 1, rank):
-            if a[j][j] % a[i][i]:
-                row_sub(i, j, -1)  # row i reads (d_i, d_j): gcd by columns
-                while a[i][j]:
-                    col_sub(i, j, a[i][i] // a[i][j])
-                    col_swap(i, j)
-                row_sub(j, i, a[j][i] // a[i][i])  # leaves lcm at (j, j)
+    if not greedy():
+        lines = 0  # row and column passes, at least one, until a is diagonal
+        while lines == 0 or any(
+                a[i][j] for i in range(rows) for j in range(cols) if i != j):
+            if lines % 2 == 0:
+                _hermite(a, cols, u, uinv)
+            else:
+                a = [list(col) for col in zip(*a)]
+                _hermite(a, rows, v)
+                a = [list(row) for row in zip(*a)]
+            lines += 1
+        # a diagonal echelon form keeps its zeros last; make it a chain
+        rank = sum(1 for i in range(min(rows, cols)) if a[i][i])
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                if a[j][j] % a[i][i]:
+                    row_sub(i, j, -1)  # row i reads (d_i, d_j): gcd by columns
+                    while a[i][j]:
+                        col_sub(i, j, a[i][i] // a[i][j])
+                        col_swap(i, j)
+                    row_sub(j, i, a[j][i] // a[i][i])  # leaves lcm at (j, j)
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
-            row_negate(i)
+            for x in (a, u, uinv):
+                x[i] = [-y for y in x[i]]
 
     return (IntMatrix._of(rows, rows, tuple(map(tuple, u))),
             IntMatrix._of(rows, rows, tuple(zip(*uinv))),
@@ -521,11 +517,11 @@ class Hom:
 
     @classmethod
     def _of(cls, domain: FgGroup, codomain: FgGroup, matrix: IntMatrix) -> "Hom":
-        """Unchecked: matrix must be reduced and well defined on torsion."""
+        """Unchecked: matrix must be well defined on torsion; stored reduced."""
         h = object.__new__(cls)
         object.__setattr__(h, "domain", domain)
         object.__setattr__(h, "codomain", codomain)
-        object.__setattr__(h, "matrix", matrix)
+        object.__setattr__(h, "matrix", _reduce_matrix(codomain, matrix))
         return h
 
     @classmethod
@@ -545,8 +541,7 @@ class Hom:
         """self after inner."""
         if inner.codomain != self.domain:
             raise HomError("non-composable homomorphisms")
-        return Hom._of(inner.domain, self.codomain, _reduce_matrix(
-            self.codomain, self.matrix @ inner.matrix))
+        return Hom._of(inner.domain, self.codomain, self.matrix @ inner.matrix)
 
     def is_zero_map(self) -> bool:
         return self.matrix.is_zero()
@@ -624,7 +619,7 @@ def _stacked(h: Hom) -> IntMatrix:
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
     group, proj, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
-    return group, Hom._of(h.codomain, group, _reduce_matrix(group, proj))
+    return group, Hom._of(h.codomain, group, proj)
 
 
 def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
@@ -641,7 +636,7 @@ def kernel(h: Hom) -> tuple[FgGroup, Hom]:
     na = h.domain.ngens
     lattice = _preimage_of_zero_lattice(h)
     group, reps = sublattice_quotient(na, lattice, h.domain.relations())
-    return group, Hom._of(group, h.domain, _reduce_matrix(h.domain, reps))
+    return group, Hom._of(group, h.domain, reps)
 
 
 def image(h: Hom) -> tuple[FgGroup, Hom]:
@@ -666,12 +661,12 @@ def is_exact_at(f: Hom, g: Hom) -> bool:
                for col in _preimage_of_zero_lattice(g).columns())
 
 
-def _canonical_preimage(h: Hom, d: IntMatrix, v: IntMatrix, uy) -> Optional[tuple]:
-    """Reduced coordinates of the canonical x with h(x) = y, or None: with
-    u, d, v from the Smith form of _stacked(h) and uy = u y, the domain
-    part of v z, every free parameter of z zero."""
+def _canonical_preimage(h: Hom, d, v, uy) -> Optional[GroupElement]:
+    """The canonical x with h(x) = y, or None: with u, d, v from the Smith
+    form of _stacked(h) and uy = u y, the domain part of v z, every free
+    parameter of z zero."""
     z = _back_substitute(d, uy)
-    return None if z is None else h.domain.reduce_coords(v.vec(z)[:h.domain.ngens])
+    return None if z is None else h.domain._element(v.vec(z)[:h.domain.ngens])
 
 
 def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
@@ -679,8 +674,7 @@ def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     if y.group != h.codomain:
         raise HomError("target element is not in the codomain")
     u, _, d, v = _snf_with_inverses(_stacked(h))
-    x = _canonical_preimage(h, d, v, u.vec(y.coords))
-    return None if x is None else h.domain.element(x)
+    return _canonical_preimage(h, d, v, u.vec(y.coords))
 
 
 def section_matrix(h: Hom) -> IntMatrix:
@@ -696,10 +690,10 @@ def section_matrix(h: Hom) -> IntMatrix:
     if nb == 0:
         return IntMatrix.zeros(na, 0)
     u, _, d, v = _snf_with_inverses(_stacked(h))
-    cols = [_canonical_preimage(h, d, v, uy) for uy in u.columns()]
-    if None in cols:
+    xs = [_canonical_preimage(h, d, v, uy) for uy in u.columns()]
+    if any(x is None for x in xs):
         raise HomError("not surjective: a codomain generator has no preimage")
-    return _from_columns(cols, na)
+    return _from_columns([x.coords for x in xs], na)
 
 
 def is_surjective(h: Hom) -> bool:
@@ -740,15 +734,17 @@ def direct_sum(summands: Sequence[FgGroup]):
         # summand g owns columns off.. of proj and rows off.. of sect
         cols = IntMatrix._of(group.ngens, g.ngens,
                              tuple(row[off:off + g.ngens] for row in proj.entries))
-        inclusions.append(Hom._of(g, group, _reduce_matrix(group, cols)))
+        inclusions.append(Hom._of(g, group, cols))
         rows = IntMatrix._of(g.ngens, group.ngens, sect.entries[off:off + g.ngens])
-        projections.append(Hom._of(group, g, _reduce_matrix(g, rows)))
+        projections.append(Hom._of(group, g, rows))
     return group, inclusions, projections
 
 
 def quotient_by(ambient: FgGroup,
                 elements: Sequence[GroupElement]) -> tuple[FgGroup, Hom]:
     """ambient / <elements>, with the canonical projection."""
-    cols = IntMatrix.from_columns([x.coords for x in elements], ambient.ngens)
+    if any(x.group != ambient for x in elements):
+        raise HomError("element not in the ambient group")
+    cols = _from_columns([x.coords for x in elements], ambient.ngens)
     return cokernel(Hom._of(FgGroup(len(elements)), ambient, cols))  # free domain
 

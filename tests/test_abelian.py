@@ -23,7 +23,6 @@ from tdual.abelian import (
     quotient_by,
     smith_normal_form,
     solve_hom,
-    _smith,
     _snf_with_inverses,
 )
 from tdual.spaces import cohomology_of, parse_space
@@ -84,6 +83,15 @@ def test_snf_properties_random(rows, cols, data):
     assert diag == oracles.invariant_factors_oracle(ent)
 
 
+def hermite_only(m: IntMatrix):
+    """_snf_with_inverses on the bounded path alone: a budget below zero
+    stops greedy pivoting before its first elimination step, so the
+    Hermite passes do all the work."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abelian, "_GREEDY_BITS_PER_LINE", -1)
+        return _snf_with_inverses(m)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 9), st.integers(0, 9), st.data())
 def test_hermite_path_gives_the_smith_form(rows, cols, data):
@@ -91,7 +99,7 @@ def test_hermite_path_gives_the_smith_form(rows, cols, data):
     of u, and the same (unique) d as smith_normal_form."""
     ent = [[data.draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
     m = IntMatrix.from_rows(ent, cols)
-    u, uinv, d, v = _smith(m, greedy=False)
+    u, uinv, d, v = hermite_only(m)
     assert u @ m @ v == d
     assert u @ uinv == IntMatrix.identity(rows)
     assert abs(determinant(v)) == 1
@@ -119,19 +127,39 @@ def _large_matrix(kind, n, bound):
     *(("dense", n, 9) for n in range(10, 17)),
     ("torus", 7, 1), ("torus", 7, 3), ("torus", 8, 1), ("torus", 8, 3)])
 def test_hermite_path_on_large_matrices(kind, n, bound):
-    """Beyond the 9 x 9 of the random tests: the bounded path still gives
-    u m v = d with uinv the inverse of u and the d of the greedy-first
-    path, and its transforms stay small (at most 275 bits over 30 seeds
-    of T^8 with coefficients up to 3, 117 over 30 dense 16 x 16)."""
+    """Beyond the 9 x 9 of the random tests, on the bounded path alone and
+    on the default one (greedy pivoting, then the Hermite passes from where
+    it stopped): u m v = d with uinv the inverse of u, one d for both, and
+    small transforms (at most 265 bits alone and 190 by default here)."""
     m = _large_matrix(kind, n, bound)
-    u, uinv, d, v = _smith(m, greedy=False)
-    assert u @ m @ v == d
-    assert u @ uinv == IntMatrix.identity(m.rows)
-    assert abs(determinant(v)) == 1
-    assert d == _snf_with_inverses(m)[2]
+    default = _snf_with_inverses(m)
+    d = default[2]
+    for u, uinv, d_path, v in (hermite_only(m), default):
+        assert u @ m @ v == d_path == d
+        assert u @ uinv == IntMatrix.identity(m.rows)
+        assert abs(determinant(v)) == 1
+        assert _max_bits(u, uinv, v) <= 384
     if kind == "dense":
         assert prod(d.diagonal()) == abs(determinant(m))
-    assert _max_bits(u, uinv, v) <= 384
+
+
+def test_hermite_passes_finish_from_where_greedy_stopped(monkeypatch):
+    """Past its budget greedy pivoting hands the partly reduced matrix to
+    the Hermite passes, with the transforms built so far: the first pass
+    starts from elimination steps already taken, not from the input or a
+    permutation of it."""
+    m = _large_matrix("dense", 10, 9)
+    entered = []
+    hermite = abelian._hermite
+
+    def recording(a, width, t, tinv=None):
+        entered.append(sorted(x for row in a for x in row))
+        return hermite(a, width, t, tinv)
+
+    monkeypatch.setattr(abelian, "_hermite", recording)
+    u, uinv, d, v = _snf_with_inverses(m)
+    assert u @ m @ v == d and u @ uinv == IntMatrix.identity(m.rows)
+    assert entered and entered[0] != sorted(x for row in m.entries for x in row)
 
 
 def test_runaway_greedy_elimination_switches_to_hermite():
@@ -187,20 +215,20 @@ def batch_jobs():
 
 
 def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
-    """A greedy Smith form that falls back takes other transforms, which can
-    change report bytes.  With a third of the per-line budget, no Smith
-    form of a batch-shaped sweep falls back, so the budget has room."""
+    """A Smith form that passes the greedy budget is finished by the
+    Hermite passes, which take other transforms and can change report
+    bytes.  With a third of the per-line budget, no Smith form of a
+    batch-shaped sweep enters them, so the budget has room."""
     fallbacks = []
-    smith = abelian._smith
+    hermite = abelian._hermite
 
-    def counting(m, greedy):
-        if not greedy:
-            fallbacks.append(m.shape)
-        return smith(m, greedy)
+    def counting(a, width, t, tinv=None):
+        fallbacks.append((len(a), width))
+        return hermite(a, width, t, tinv)
 
     monkeypatch.setattr(abelian, "_GREEDY_BITS_PER_LINE",
                         abelian._GREEDY_BITS_PER_LINE / 3)
-    monkeypatch.setattr(abelian, "_smith", counting)
+    monkeypatch.setattr(abelian, "_hermite", counting)
     gysin.total_space_cohomology.cache_clear()
     try:
         jobs = 0

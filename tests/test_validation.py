@@ -8,7 +8,8 @@ computes from checked ones is built by the unchecked IntMatrix._of, and
 every hom it derives from checked ones (compose, the cokernel projection,
 the kernel embedding, the direct-sum maps, Hom.zero, Hom.identity and the
 map onto the elements quotient_by divides out) by the unchecked Hom._of,
-with elements added or mapped by the unchecked FgGroup._element.  So each
+which stores its matrix reduced, with elements added, mapped or solved
+for (solve_hom) by the unchecked FgGroup._element.  So each
 must already be what the check would have made of it: the oracles
 re-check the matrices and homs of every function that builds with _of,
 and every hom built while the catalog sweep runs.  The layers above
@@ -29,20 +30,22 @@ from tdual.abelian import (
     GroupElement,
     Hom,
     IntMatrix,
-    _smith,
     _snf_with_inverses,
     cokernel,
     cokernel_presentation,
     direct_sum,
     image,
     kernel,
+    quotient_by,
     section_matrix,
+    solve_hom,
 )
 from tdual.gysin import CircleBundle, total_space_cohomology
 from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import Triple, coset_partition
 
 from . import oracles
+from .test_abelian import hermite_only
 from .test_report import _sweep_jobs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -113,7 +116,7 @@ Z3 = FgGroup(0, (3,))
 @example(IntMatrix.zeros(0, 5))
 @example(IntMatrix.zeros(5, 0))
 def test_smith_forms_are_checked_matrices(m):
-    greedy, hermite = _snf_with_inverses(m), _smith(m, greedy=False)
+    greedy, hermite = _snf_with_inverses(m), hermite_only(m)
     assert checked(*greedy) and checked(*hermite)
     assert greedy[2] == hermite[2]
 
@@ -144,12 +147,15 @@ def test_direct_sum_maps_are_checked_matrices(summands):
 def test_derived_homs_are_checked_homs(pair):
     h, g = pair
     derived = [kernel(h)[1], cokernel(h)[1], g.compose(h),
-               Hom.zero(h.domain, g.codomain), Hom.identity(h.codomain)]
+               Hom.zero(h.domain, g.codomain), Hom.identity(h.codomain),
+               quotient_by(h.codomain, [h(x) for x in h.domain.generators()])[1]]
     assert all(map(oracles.is_checked_hom, derived))
     x = h.domain.generators()
     for a, b in zip(x, x[1:] + x[:1]):     # _element: sums and images
         for y in (a + b, h(a)):
             assert GroupElement(y.group, y.coords) == y
+        pre = solve_hom(h, h(a))           # _element: canonical preimages
+        assert GroupElement(pre.group, pre.coords) == pre and h(pre) == h(a)
 
 
 def test_every_hom_of_the_catalog_sweep_is_checked(monkeypatch):
@@ -227,6 +233,9 @@ def test_empty_presentation_equals_the_smith_form_path(shape):
     lambda: FgGroup(0, (2,)).element([3.7]),
     lambda: FgGroup(1).element([False]),
     lambda: FgGroup(1).generator(0).scale(0.5),
+    # quotient_by builds its columns unchecked from elements of its group
+    lambda: quotient_by(FgGroup(2), [FgGroup(1).generator(0)]),
+    lambda: quotient_by(FgGroup(1), [FgGroup(0, (2,)).generator(0)]),
     # above the integer layer, values from the wrong place: a triple below
     # degree 3, b or the flux in the wrong degree, a coset generator
     # outside H^2, an unknown report format
