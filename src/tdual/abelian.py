@@ -12,14 +12,22 @@ coordinate vectors with respect to the canonical generators; torsion
 coordinates are always stored reduced.
 
 Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
-which keeps maps into and out of the zero group honest.
+which keeps maps into and out of the zero group honest.  Values compare
+by value, so kernel, cokernel, section_matrix and solve_hom are memos.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, mul
 from typing import Optional, Sequence
+
+# Each memo keeps its MEMO_SIZE latest answers, keyed by argument value; a
+# call that raises is not kept.  total_space_cohomology.cache_clear()
+# empties them all.  A batch repeats its questions within a few jobs.
+MEMO_SIZE = 16
+memo = lru_cache(maxsize=MEMO_SIZE)
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +624,7 @@ def _stacked(h: Hom) -> IntMatrix:
     return h.matrix.hstack(h.codomain.relations())
 
 
+@memo
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
     group, proj, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
@@ -631,6 +640,7 @@ def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     return free.hstack(h.domain.relations())  # relations: always in the kernel
 
 
+@memo
 def kernel(h: Hom) -> tuple[FgGroup, Hom]:
     """ker(h) in canonical form with its embedding into the domain."""
     na = h.domain.ngens
@@ -669,6 +679,7 @@ def _canonical_preimage(h: Hom, d, v, uy) -> Optional[GroupElement]:
     return None if z is None else h.domain._element(v.vec(z)[:h.domain.ngens])
 
 
+@memo
 def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     """One x with h(x) = y, or None; deterministic canonical choice."""
     if y.group != h.codomain:
@@ -677,6 +688,7 @@ def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     return _canonical_preimage(h, d, v, u.vec(y.coords))
 
 
+@memo
 def section_matrix(h: Hom) -> IntMatrix:
     """Canonical preimages of all codomain generators under a surjection.
 

@@ -24,13 +24,12 @@ the stored section (the one rule that lifts b and H in tduality.py).
 
 All maps are fixed as explicit matrices at construction time, and a
 solved total space is immutable, so `total_space_cohomology` shares one
-per bundle and top degree within a process (see there).
+per bundle and top degree: a memo, like the group operations it calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .abelian import (
@@ -38,13 +37,16 @@ from .abelian import (
     GroupElement,
     Hom,
     IntMatrix,
+    MEMO_SIZE as SOLVED_CACHE_SIZE,
     ZERO_GROUP,
     cokernel,
     is_exact_at,
     kernel,
+    memo,
     section_matrix,
+    solve_hom,
 )
-from .spaces import GradedCohomology, inherited_names, sum_named
+from .spaces import GradedCohomology, cohomology_of, inherited_names, sum_named
 
 
 # The names a total-space generator inherits from a base generator g:
@@ -89,7 +91,7 @@ class GysinDegree:
         """The canonical beta whose pullback is the coker(f) part of x, off
         the stored section; pullback(beta) = x iff onto_ker(x) is zero."""
         coords = self.coker_sect.vec(self.onto_coker(x).coords)
-        return self.coker_proj.domain.element(coords)
+        return self.coker_proj.domain._element(coords)
 
 
 def split_degree(f: Hom, g: Hom, coker_names, ker_names,
@@ -179,12 +181,7 @@ class TotalSpaceCohomology:
         return [k for k in range(self.top + 1) if self.degrees[k].ambiguous]
 
 
-# Solved total spaces kept by total_space_cohomology.  A batch reuses a
-# bundle within a few jobs (a dualize job builds E and E# over one base),
-# so a short LRU catches nearly every repeat while memory stays flat.
-SOLVED_CACHE_SIZE = 16
-
-_solved = lru_cache(maxsize=SOLVED_CACHE_SIZE)(TotalSpaceCohomology)
+_solved = memo(TotalSpaceCohomology)
 
 
 def total_space_cohomology(bundle: CircleBundle,
@@ -194,17 +191,21 @@ def total_space_cohomology(bundle: CircleBundle,
     The default top degree is base.max_degree - 1, the highest degree the
     sequence determines from the available base data.
 
-    Bundles compare by value, so within one process each distinct (base,
-    Euler class, top degree) is solved once and the result is shared; the
-    SOLVED_CACHE_SIZE most recently used are kept.  A build that raises
-    is not kept.  `total_space_cohomology.cache_clear()` and
-    `.cache_info()` reach the cache, for cold measurements.
+    Bundles compare by value, so the SOLVED_CACHE_SIZE most recent (base,
+    Euler class, top degree) are each solved once; `.cache_info()` reads
+    this memo and `.cache_clear()` empties every memo (abelian.memo).
     """
     top = bundle.base.max_degree - 1 if max_degree is None else max_degree
     return _solved(bundle, top)
 
 
-total_space_cohomology.cache_clear = _solved.cache_clear
+def _clear_memos():
+    for cached in (_solved, cohomology_of, cokernel, kernel, section_matrix,
+                   solve_hom):
+        cached.cache_clear()
+
+
+total_space_cohomology.cache_clear = _clear_memos
 total_space_cohomology.cache_info = _solved.cache_info
 
 

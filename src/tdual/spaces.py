@@ -25,6 +25,7 @@ from .abelian import (
     IntMatrix,
     ZERO_GROUP,
     direct_sum,
+    memo,
 )
 
 
@@ -173,6 +174,7 @@ Z = FgGroup(1)
 Z2 = FgGroup(0, (2,))
 
 
+@memo
 def cohomology_of(space: CatalogSpace, max_degree: int) -> GradedCohomology:
     """Integral cohomology of a catalog space up to max_degree.
 

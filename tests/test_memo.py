@@ -1,0 +1,183 @@
+"""The memos on the pure group operations and on the base tables.
+
+kernel, cokernel, section_matrix, solve_hom, spaces.cohomology_of and the
+solved total spaces each keep their MEMO_SIZE most recent answers, keyed
+by argument value.  A memo must answer as the plain function does, hand
+out one shared value for equal arguments without factoring anything
+again, stay within its bound, keep no call that raises, and empty with
+total_space_cohomology.cache_clear(), the one cold-start hook.
+"""
+
+import itertools
+import sys
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdual import abelian, gysin
+from tdual.abelian import (
+    MEMO_SIZE,
+    FgGroup,
+    Hom,
+    HomError,
+    IntMatrix,
+    cokernel,
+    kernel,
+    section_matrix,
+    solve_hom,
+)
+from tdual.cli import run_job
+from tdual.gysin import SOLVED_CACHE_SIZE, total_space_cohomology
+from tdual.spaces import CatalogSpace, cohomology_of, parse_space
+
+from .test_naming import CATALOG
+from .test_sections import surjections
+from .test_validation import homs
+
+Z = FgGroup(1)
+
+
+def _memos() -> list:
+    """Every memo any tdual module holds, once each."""
+    found = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "tdual" or name.startswith("tdual."):
+            for value in vars(mod).values():
+                if isinstance(value, type(kernel)):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+def _twin_group(g: FgGroup) -> FgGroup:
+    return FgGroup(g.free_rank, tuple(g.torsion))
+
+
+def _twin(h: Hom) -> Hom:
+    """An equal hom that shares no object with h."""
+    m = h.matrix
+    return Hom(_twin_group(h.domain), _twin_group(h.codomain),
+               IntMatrix(m.rows, m.cols, tuple(map(tuple, m.entries))))
+
+
+def _twin_args(args):
+    return tuple(_twin(a) if isinstance(a, Hom)
+                 else _twin_group(a.group).element(list(a.coords))
+                 for a in args)
+
+
+def _questions(h, data):
+    """(memo, arguments) pairs about h: its kernel and cokernel, the
+    section of its cokernel projection, and a solvable and a drawn
+    right-hand side."""
+    proj = cokernel(h)[1]
+    x = h.domain.element([data.draw(st.integers(-9, 9))
+                          for _ in range(h.domain.ngens)])
+    y = h.codomain.element([data.draw(st.integers(-9, 9))
+                            for _ in range(h.codomain.ngens)])
+    return [(kernel, (h,)), (cokernel, (h,)), (section_matrix, (proj,)),
+            (solve_hom, (h, h(x))), (solve_hom, (h, y))]
+
+
+@contextmanager
+def counted_snf():
+    """Smith forms run inside the block, counted in the yielded list."""
+    calls = [0]
+    original = abelian._snf_with_inverses
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(abelian, "_snf_with_inverses", counted)
+        yield calls
+
+
+def test_one_bound_for_every_memo():
+    assert SOLVED_CACHE_SIZE == MEMO_SIZE
+    assert {m.__wrapped__ for m in _memos()} == {f.__wrapped__ for f in (
+        kernel, cokernel, section_matrix, solve_hom, cohomology_of,
+        gysin._solved)}
+    assert all(m.cache_info().maxsize == MEMO_SIZE for m in _memos())
+
+
+@settings(max_examples=150, deadline=None)
+@given(homs(), st.data())
+def test_memos_answer_as_the_plain_functions(h, data):
+    for fn, args in _questions(h, data):
+        got = fn(*args)
+        want = fn.__wrapped__(*_twin_args(args))
+        assert got == want, (fn.__name__, args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(surjections())
+def test_memoized_sections_answer_as_the_plain_function(h):
+    assert section_matrix(h) == section_matrix.__wrapped__(_twin(h))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_memoized_base_tables_answer_as_the_plain_function(name):
+    space = parse_space(name)
+    twin = CatalogSpace(space.kind, space.param)
+    for top in (2, 5):
+        assert cohomology_of(space, top) == cohomology_of.__wrapped__(twin, top)
+
+
+@settings(max_examples=100, deadline=None)
+@given(homs(), st.data())
+def test_a_repeated_question_shares_its_answer_and_factors_nothing(h, data):
+    for fn, args in _questions(h, data):
+        first = fn(*args)
+        with counted_snf() as calls:
+            again = fn(*_twin_args(args))
+        assert again is first and calls[0] == 0, fn.__name__
+
+
+def test_every_memo_stays_within_its_bound():
+    total_space_cohomology.cache_clear()
+    n = MEMO_SIZE + 5
+    scalings = [Hom(Z, Z, IntMatrix.from_rows([[k]])) for k in range(2, n + 2)]
+    onto = [Hom(Z, FgGroup(0, (k,)), IntMatrix.from_rows([[1]]))
+            for k in range(2, n + 2)]
+    tables = itertools.islice(
+        ((parse_space(name), top) for name in CATALOG for top in (3, 4, 5)), n)
+    questions = {
+        kernel: [(h,) for h in scalings],
+        cokernel: [(h,) for h in scalings],
+        section_matrix: [(h,) for h in onto],
+        solve_hom: [(scalings[0], Z.element([k])) for k in range(n)],
+        cohomology_of: list(tables),
+    }
+    for fn, calls in questions.items():
+        assert len(set(calls)) == n
+        for args in calls:
+            fn(*args)
+            assert fn.cache_info().currsize <= MEMO_SIZE
+        assert fn.cache_info().currsize == MEMO_SIZE
+
+
+def test_a_failing_section_is_never_kept():
+    total_space_cohomology.cache_clear()
+    h = Hom(Z, FgGroup(0, (4,)), IntMatrix.from_rows([[2]]))   # not onto
+    for _ in range(3):
+        with counted_snf() as calls, pytest.raises(HomError):
+            section_matrix(_twin(h))
+        assert calls[0] == 1                  # factored again every time
+        assert section_matrix.cache_info().currsize == 0
+    with pytest.raises(HomError):             # y outside the codomain
+        solve_hom(h, Z.element([1]))
+    assert solve_hom.cache_info().currsize == 0
+
+
+def test_cache_clear_empties_every_memo():
+    total_space_cohomology.cache_clear()
+    run_job({"mode": "dualize", "base": "T2", "euler": "0", "flux": "2*vol.z"})
+    run_job({"mode": "coset-partition", "base": "T2", "euler": "0",
+             "gen": "2*p*(vol)"})
+    memos = _memos()
+    assert all(m.cache_info().currsize for m in memos)
+    total_space_cohomology.cache_clear()
+    assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

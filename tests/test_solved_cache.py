@@ -72,7 +72,8 @@ def _bundle(name, euler, max_degree=4):
 
 
 def test_equal_bundles_share_one_value():
-    first, second = _bundle("T2", 2), _bundle("T2", 2)
+    first = _bundle("T2", 2)
+    second = CircleBundle(dataclasses.replace(first.base), first.euler)
     assert first.base is not second.base and first == second
     tsc = total_space_cohomology(first, 3)
     assert total_space_cohomology(second, 3) is tsc
