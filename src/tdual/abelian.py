@@ -12,8 +12,8 @@ coordinate vectors with respect to the canonical generators; torsion
 coordinates are always stored reduced.
 
 Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
-which keeps maps into and out of the zero group honest.  Values compare
-by value, so kernel, cokernel, section_matrix and solve_hom are memos.
+which keeps maps into and out of the zero group honest.  Values compare by
+value: kernel, cokernel_presentation, section_matrix, solve_hom are memos.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Optional, Sequence
 
-# Each memo keeps its MEMO_SIZE latest answers, keyed by argument value; a
-# call that raises is not kept.  total_space_cohomology.cache_clear()
-# empties them all.  A batch repeats its questions within a few jobs.
+# Each memo keeps its MEMO_SIZE latest answers by argument value, none that
+# raised; total_space_cohomology.cache_clear() empties them all.  Cokernels,
+# quotients, direct sums and kernels share cokernel_presentation's answers.
 MEMO_SIZE = 16
 memo = lru_cache(maxsize=MEMO_SIZE)
 
@@ -567,6 +567,7 @@ def _reduce_matrix(codomain: FgGroup, m: IntMatrix) -> IntMatrix:
 # presentations: cokernels and subquotients
 # ---------------------------------------------------------------------------
 
+@memo
 def cokernel_presentation(n: int, relations: IntMatrix):
     """Z^n modulo the column span of `relations`, in canonical form.
 
@@ -624,7 +625,6 @@ def _stacked(h: Hom) -> IntMatrix:
     return h.matrix.hstack(h.codomain.relations())
 
 
-@memo
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
     group, proj, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))

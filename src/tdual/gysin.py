@@ -40,6 +40,7 @@ from .abelian import (
     MEMO_SIZE as SOLVED_CACHE_SIZE,
     ZERO_GROUP,
     cokernel,
+    cokernel_presentation,
     is_exact_at,
     kernel,
     memo,
@@ -200,8 +201,8 @@ def total_space_cohomology(bundle: CircleBundle,
 
 
 def _clear_memos():
-    for cached in (_solved, cohomology_of, cokernel, kernel, section_matrix,
-                   solve_hom):
+    for cached in (_solved, cohomology_of, cokernel_presentation, kernel,
+                   section_matrix, solve_hom):
         cached.cache_clear()
 
 

@@ -5,8 +5,8 @@ b in H^2(E) and H in H^3(E).  The transform:
 
   * dual Euler class   e# = p!(H),
   * dual flux          H# with q!(H#) = e, with the part of H pulled back
-    from the base transported through the base (H# is only determined up
-    to the image of q*, which is always reported alongside),
+    from the base transported through the base (q!(H#) = e alone leaves
+    H# open up to the image of q*, which is always reported alongside),
   * B-class            handled at coset level: b must be a pullback
     p*(beta); its coset modulo <p* p!(H)> is carried to the coset of
     q*(beta) modulo <q* q!(H#)>.
@@ -113,8 +113,7 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
 
     The half of H pulled back from the base is carried over through the
     base; the fiberwise half becomes the source Euler class.  Returns
-    (H#, (ambiguity_subgroup, inclusion)) where the subgroup is im(q*),
-    the full indeterminacy of H#.
+    (H#, (im(q*), inclusion)): what q!(H#) = e alone leaves open.
     """
     # e cup e# = 0 since e# = p!(H) lies in the kernel of cup-e; this is
     # what makes e a legal value of q! on the dual side.

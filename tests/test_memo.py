@@ -1,8 +1,10 @@
 """The memos on the pure group operations and on the base tables.
 
-kernel, cokernel, section_matrix, solve_hom, spaces.cohomology_of and the
-solved total spaces each keep their MEMO_SIZE most recent answers, keyed
-by argument value.  A memo must answer as the plain function does, hand
+kernel, cokernel_presentation, section_matrix, solve_hom,
+spaces.cohomology_of and the solved total spaces each keep their
+MEMO_SIZE most recent answers, keyed by argument value; cokernel,
+quotient_by, direct_sum and kernel share their presentations through
+cokernel_presentation.  A memo must answer as the plain function does, hand
 out one shared value for equal arguments without factoring anything
 again, stay within its bound, keep no call that raises, and empty with
 total_space_cohomology.cache_clear(), the one cold-start hook.
@@ -24,6 +26,8 @@ from tdual.abelian import (
     HomError,
     IntMatrix,
     cokernel,
+    cokernel_presentation,
+    direct_sum,
     kernel,
     section_matrix,
     solve_hom,
@@ -56,27 +60,40 @@ def _twin_group(g: FgGroup) -> FgGroup:
 
 def _twin(h: Hom) -> Hom:
     """An equal hom that shares no object with h."""
-    m = h.matrix
     return Hom(_twin_group(h.domain), _twin_group(h.codomain),
-               IntMatrix(m.rows, m.cols, tuple(map(tuple, m.entries))))
+               _twin_matrix(h.matrix))
+
+
+def _twin_matrix(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.rows, m.cols, tuple(map(tuple, m.entries)))
+
+
+def _twin_arg(a):
+    if isinstance(a, Hom):
+        return _twin(a)
+    if isinstance(a, IntMatrix):
+        return _twin_matrix(a)
+    if isinstance(a, int):
+        return a
+    return _twin_group(a.group).element(list(a.coords))
 
 
 def _twin_args(args):
-    return tuple(_twin(a) if isinstance(a, Hom)
-                 else _twin_group(a.group).element(list(a.coords))
-                 for a in args)
+    return tuple(map(_twin_arg, args))
 
 
 def _questions(h, data):
-    """(memo, arguments) pairs about h: its kernel and cokernel, the
-    section of its cokernel projection, and a solvable and a drawn
-    right-hand side."""
+    """(memo, arguments) pairs about h: its kernel, the presentation of its
+    cokernel, the section of its cokernel projection, and a solvable and a
+    drawn right-hand side."""
     proj = cokernel(h)[1]
     x = h.domain.element([data.draw(st.integers(-9, 9))
                           for _ in range(h.domain.ngens)])
     y = h.codomain.element([data.draw(st.integers(-9, 9))
                             for _ in range(h.codomain.ngens)])
-    return [(kernel, (h,)), (cokernel, (h,)), (section_matrix, (proj,)),
+    return [(kernel, (h,)),
+            (cokernel_presentation, (h.codomain.ngens, abelian._stacked(h))),
+            (section_matrix, (proj,)),
             (solve_hom, (h, h(x))), (solve_hom, (h, y))]
 
 
@@ -98,8 +115,8 @@ def counted_snf():
 def test_one_bound_for_every_memo():
     assert SOLVED_CACHE_SIZE == MEMO_SIZE
     assert {m.__wrapped__ for m in _memos()} == {f.__wrapped__ for f in (
-        kernel, cokernel, section_matrix, solve_hom, cohomology_of,
-        gysin._solved)}
+        kernel, cokernel_presentation, section_matrix, solve_hom,
+        cohomology_of, gysin._solved)}
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in _memos())
 
 
@@ -134,6 +151,20 @@ def test_a_repeated_question_shares_its_answer_and_factors_nothing(h, data):
         with counted_snf() as calls:
             again = fn(*_twin_args(args))
         assert again is first and calls[0] == 0, fn.__name__
+    first = cokernel(h)                       # through cokernel_presentation
+    with counted_snf() as calls:
+        again = cokernel(_twin(h))
+    assert again == first and calls[0] == 0
+
+
+def test_equal_direct_sums_share_one_smith_form():
+    total_space_cohomology.cache_clear()
+    summands = [FgGroup(0, (2,)), FgGroup(0, (4,))]
+    with counted_snf() as calls:
+        first = direct_sum(summands)
+        again = direct_sum([_twin_group(g) for g in summands])
+    assert calls[0] == 1 and again == first
+    assert first[0] == FgGroup(0, (2, 4))
 
 
 def test_every_memo_stays_within_its_bound():
@@ -146,7 +177,7 @@ def test_every_memo_stays_within_its_bound():
         ((parse_space(name), top) for name in CATALOG for top in (3, 4, 5)), n)
     questions = {
         kernel: [(h,) for h in scalings],
-        cokernel: [(h,) for h in scalings],
+        cokernel_presentation: [(1, h.matrix) for h in scalings],
         section_matrix: [(h,) for h in onto],
         solve_hom: [(scalings[0], Z.element([k])) for k in range(n)],
         cohomology_of: list(tables),
