@@ -708,15 +708,11 @@ def section_matrix(h: Hom) -> IntMatrix:
     return _from_columns([x.coords for x in xs], na)
 
 
-def is_surjective(h: Hom) -> bool:
-    return cokernel(h)[0].is_zero()
-
-
 def is_isomorphism(h: Hom) -> bool:
     """True iff h is bijective, decided with one Smith form: canonical
     forms are unique, so only equal groups are isomorphic, and a surjective
     endomorphism of a finitely generated abelian group is injective."""
-    return h.domain == h.codomain and is_surjective(h)
+    return h.domain == h.codomain and cokernel(h)[0].is_zero()
 
 
 def hom_inverse(h: Hom) -> Hom:

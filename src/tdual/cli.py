@@ -151,7 +151,9 @@ def _build_total(spec):
 
 
 def run_job(spec: dict) -> dict:
-    """Dispatch one job; deterministic output for identical input."""
+    """Dispatch one job; deterministic output for identical input.  The
+    reports of one bundle share its total-space table, which emit_json
+    writes once per indent, so a report is read-only to its caller."""
     name = spec.get("mode")
     mode = MODES.get(name) if isinstance(name, str) else None
     if mode is None:

@@ -135,7 +135,6 @@ class TotalSpaceCohomology:
             raise GysinError(
                 f"need base cohomology through degree {top + 1}, "
                 f"have {base.max_degree}")
-        self.bundle = bundle
         self.base = base
         self.euler = bundle.euler
         self.top = top
@@ -146,6 +145,7 @@ class TotalSpaceCohomology:
         trivial = self.euler.is_zero()
         self.degrees: tuple[GysinDegree, ...] = tuple(
             self._build_degree(k, trivial) for k in range(top + 1))
+        self.report_table = None  # report.total_space_json's, on first use
 
     def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
         base = self.base

@@ -39,13 +39,28 @@ def graded_json(groups, names) -> dict:
             for k, (g, ns) in enumerate(zip(groups, names))}
 
 
+class Table(dict):
+    """A dict that keeps its JSON text per indent once _json writes it.
+    The reports of one solved total space share its Table, so a report is
+    read-only; copy, deepcopy and pickle give a plain dict."""
+    __slots__ = ("texts",)
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.texts = {}
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 def total_space_json(tsc) -> dict:
-    groups = [tsc.group(k) for k in range(tsc.top + 1)]
-    names = [tsc.names(k) for k in range(tsc.top + 1)]
-    doc = graded_json(groups, names)
-    for k in tsc.ambiguous_degrees():
-        doc[str(k)]["ambiguous_extension"] = True
-    return doc
+    """tsc's table, built on first use and kept by tsc (see Table)."""
+    if tsc.report_table is None:
+        tsc.report_table = Table(graded_json(
+            [d.group for d in tsc.degrees], [d.names for d in tsc.degrees]))
+        for k in tsc.ambiguous_degrees():
+            tsc.report_table[str(k)]["ambiguous_extension"] = True
+    return tsc.report_table
 
 
 def emit_json(doc: dict) -> str:
@@ -62,6 +77,10 @@ def _json(value, nl: str) -> str:
         return str(value)
     if kind is bool or value is None:   # 1 == True: look up bools only
         return _LITERALS[value]
+    if kind is Table:   # written once per indent, then reused
+        if (text := value.texts.get(nl)) is None:
+            text = value.texts[nl] = _json(dict(value), nl)
+        return text
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)            # floats, int subclasses, ...
     if not value:

@@ -58,11 +58,8 @@ class GradedCohomology:
             return ZERO_GROUP
         return self.groups[k]
 
-    def generator_index(self, k: int, name: str) -> int:
-        return self.names[k].index(name)
-
     def named_element(self, k: int, name: str) -> GroupElement:
-        return self.group(k).generator(self.generator_index(k, name))
+        return self.group(k).generator(self.names[k].index(name))
 
     def cup_by(self, e: GroupElement, k: int) -> Hom:
         """The map (cup with e): H^k -> H^(k+2), for e in H^2."""

@@ -348,11 +348,15 @@ def coset_lifts(section, quotient, ambient):
 
 
 # ---------------------------------------------------------------------------
-# injectivity and exactness, one Smith form per lattice column
+# injectivity, surjectivity and exactness, one Smith form per lattice column
 # ---------------------------------------------------------------------------
 
 def is_injective(h):
     return kernel(h)[0].is_zero()
+
+
+def is_surjective(h):
+    return cokernel(h)[0].is_zero()
 
 
 def lattice_contains(lattice, vector):

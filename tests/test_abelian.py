@@ -18,7 +18,6 @@ from tdual.abelian import (
     image,
     is_exact_at,
     is_isomorphism,
-    is_surjective,
     kernel,
     quotient_by,
     smith_normal_form,
@@ -28,7 +27,7 @@ from tdual.abelian import (
 from tdual.spaces import cohomology_of, parse_space
 
 from . import oracles
-from .oracles import determinant, element_order
+from .oracles import determinant, element_order, is_surjective
 from .test_naming import CATALOG
 
 

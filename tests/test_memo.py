@@ -7,11 +7,14 @@ quotient_by, direct_sum and kernel share their presentations through
 cokernel_presentation.  A memo must answer as the plain function does, hand
 out one shared value for equal arguments without factoring anything
 again, stay within its bound, keep no call that raises, and empty with
-total_space_cohomology.cache_clear(), the one cold-start hook.
+total_space_cohomology.cache_clear(), the one cold-start hook.  What a
+solved total space keeps for its reports goes with it when it leaves.
 """
 
+import gc
 import itertools
 import sys
+import weakref
 from contextlib import contextmanager
 
 import pytest
@@ -32,8 +35,10 @@ from tdual.abelian import (
     section_matrix,
     solve_hom,
 )
+from tdual import cli
 from tdual.cli import run_job
 from tdual.gysin import SOLVED_CACHE_SIZE, total_space_cohomology
+from tdual.report import emit_json
 from tdual.spaces import CatalogSpace, cohomology_of, parse_space
 
 from .test_naming import CATALOG
@@ -212,3 +217,28 @@ def test_cache_clear_empties_every_memo():
     assert all(m.cache_info().currsize for m in memos)
     total_space_cohomology.cache_clear()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
+
+
+def _written(euler: int):
+    """A weakref to the solved total space over S2 with Euler class euler,
+    after a report of it was written: its table holds the table's text."""
+    spec = {"mode": "cohomology", "base": "S2", "euler": str(euler)}
+    emit_json(run_job(dict(spec)))
+    return weakref.ref(cli._build_total(spec))
+
+
+def test_a_total_space_the_memo_lets_go_is_freed_at_once():
+    """No reference cycle through its report table: with the collector off,
+    eviction and cache_clear() free a solved total space by refcount."""
+    total_space_cohomology.cache_clear()
+    gc.disable()
+    try:
+        evicted = _written(1)
+        for euler in range(2, MEMO_SIZE + 2):   # MEMO_SIZE newer bundles
+            _written(euler)
+        assert evicted() is None
+        cleared = _written(1)
+        total_space_cohomology.cache_clear()
+        assert cleared() is None
+    finally:
+        gc.enable()

@@ -5,18 +5,25 @@ and lists of int rows itself instead of calling the indenting encoder, so
 its output is compared with json.dumps(doc, sort_keys=True, indent=2) +
 "\\n" over drawn report-shaped values and over the reports of every
 catalog base.  Only str keys are written: any other key raises the
-TypeError of json's string encoder.
+TypeError of json's string encoder.  A solved total space keeps its table
+and the table's text per indent, so later reports of the bundle share
+both; they must still be written as json.dumps would, at every depth.
 """
 
+import argparse
+import copy
 import enum
+import io
 import json
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tdual import cli
 from tdual.cli import run_job
-from tdual.report import emit_json, emit_text
+from tdual.gysin import total_space_cohomology
+from tdual.report import SCHEMA_VERSION, Table, emit_json, emit_text
 
 BASES = (["point"] + [f"S{n}" for n in range(1, 9)] + ["T2"]
          + [f"Sigma{g}" for g in range(2, 9)] + [f"RP{n}" for n in range(2, 9)]
@@ -133,3 +140,52 @@ def test_text_of_tuple_rows_equals_list_rows():
     listed = dict(doc, partition=partition)
     assert emit_text(doc) == emit_text(listed)
     assert emit_json(doc) == emit_json(listed)
+
+
+# (base, euler, flux) of bundles solved before their reports are built.
+# Over S2 with e = vol the dual bundle is the source bundle, so one dualize
+# report carries the same table twice; RP3 with e = a flags degree 3.
+SOLVED = [("S2", "vol", "vol.z"), ("T2", "0", "2*vol.z"), ("RP3", "a", "0")]
+
+
+def written_as_json_dumps_would(doc):
+    text = emit_json(doc)
+    assert text == reference(doc)
+    assert emit_text(doc) == emit_text(json.loads(text))
+
+
+@pytest.mark.parametrize("base, euler, flux", SOLVED)
+def test_reports_of_a_solved_bundle_share_its_table_at_every_depth(
+        base, euler, flux):
+    total_space_cohomology.cache_clear()
+    bundle = {"base": base, "euler": euler}
+    first = run_job({"mode": "cohomology", **bundle})
+    written_as_json_dumps_would(first)          # the table's text at depth 1
+    docs = [run_job({"mode": "cohomology", **bundle}),
+            run_job({"mode": "dualize", **bundle, "flux": flux}),
+            run_job({"mode": "cohomology", **bundle})]
+    table = first["total_space"]
+    assert type(table) is Table
+    assert docs[0]["total_space"] is table and docs[2]["total_space"] is table
+    assert docs[1]["source"]["table"] is table
+    for doc in docs:        # total_space at depth 1, source/dual.table at 2
+        written_as_json_dumps_would(doc)
+    # `tdual run` nests each report one level deeper: tables at depths 3, 4
+    batch = {"schema_version": SCHEMA_VERSION, "reports": docs}
+    for fmt, want in (("json", reference(batch)),
+                      ("text", emit_text(json.loads(reference(batch))))):
+        out = io.StringIO()
+        cli._finish(docs, argparse.Namespace(format=fmt), out)
+        assert out.getvalue() == want
+
+
+def test_a_copied_report_is_plain_and_free_to_change():
+    total_space_cohomology.cache_clear()
+    doc = run_job({"mode": "cohomology", "base": "S2", "euler": "vol"})
+    emit_json(doc)                              # the shared text is written
+    for copied in (copy.copy(doc["total_space"]),
+                   copy.deepcopy(doc)["total_space"]):
+        assert type(copied) is dict and copied == doc["total_space"]
+    changed = copy.deepcopy(doc)
+    changed["total_space"]["0"]["generators"] = ["one"]
+    assert emit_json(changed) == reference(changed) != emit_json(doc)

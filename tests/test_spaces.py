@@ -145,15 +145,10 @@ def test_kunneth_cup_acts_blockwise():
     e = prod.named_element(2, "a.1")
     cup2 = prod.cup_by(e, 2)
     # a.1 * a.1 = a^2.1
-    i = prod.generator_index(2, "a.1")
-    img = cup2(prod.group(2).generator(i))
-    j = prod.generator_index(4, "a^2.1")
-    assert img == prod.group(4).generator(j)
+    assert cup2(e) == prod.named_element(4, "a^2.1")
     # a.1 * a.z = a^2.z
-    iz = prod.generator_index(3, "a.z")
-    img2 = prod.cup_by(e, 3)(prod.group(3).generator(iz))
-    jz = prod.generator_index(5, "a^2.z")
-    assert img2 == prod.group(5).generator(jz)
+    assert prod.cup_by(e, 3)(prod.named_element(3, "a.z")) \
+        == prod.named_element(5, "a^2.z")
     # classes with a '.z' component carry no ring data
     with pytest.raises(ValueError):
         t2prod = kunneth_with_circle(cohomology_of(parse_space("T2"), 4))
