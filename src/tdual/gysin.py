@@ -18,9 +18,10 @@ sequence alone does not determine the extension.  A zero Euler class
 gives the product bundle, where the split form is exact by the Kunneth
 theorem, so it is never flagged.
 
-In split form im(p*) is the cokernel summand: a class is a pullback iff
-its kernel part vanishes, and `GysinDegree.lift` reads its preimage off
-the stored section (the one rule that lifts b and H in tduality.py).
+The split form stays inside this module.  Readers of a degree use p*,
+p!, `GysinDegree.lift` (the stored section's preimage under p*, which
+lifts b and H in tduality.py) and `GysinDegree.choice` (one explicit
+preimage under p!): x = p*(lift(x)) + choice(p!(x)) for every class x.
 
 All maps are fixed as explicit matrices at construction time, and a
 solved total space is immutable, so `total_space_cohomology` shares one
@@ -73,26 +74,31 @@ class CircleBundle:
 @dataclass(frozen=True)
 class GysinDegree:
     """One degree of 0 -> coker(f) -> group -> ker(g) -> 0 in split form,
-    with its maps to and from the two rows (see split_degree)."""
+    read through its maps to and from the two rows (see split_degree)."""
 
     group: FgGroup
     names: tuple
-    coker_proj: Hom           # f.codomain -> coker(f), e.g. H^k(W) -> p* image
-    coker_sect: IntMatrix     # section_matrix(coker_proj), its section
+    coker_sect: IntMatrix     # a section of f.codomain -> coker(f)
     ker_incl: Hom             # ker(g) -> g.domain, e.g. p! image -> H^(k-1)(W)
-    into_coker: Hom           # coker(f) -> group, e.g. im(p*) in H^k(E)
+    pullback_image: Hom       # coker(f) -> group, im(p*) in H^k(E)
     into_ker: Hom             # ker(g) -> group
     onto_coker: Hom           # group -> coker(f)
-    onto_ker: Hom             # group -> ker(g)
     pullback: Hom             # f.codomain -> group, p* for a bundle
     pushforward: Hom          # group -> g.domain, p! for a bundle
     ambiguous: bool
 
     def lift(self, x: GroupElement) -> GroupElement:
-        """The canonical beta whose pullback is the coker(f) part of x, off
-        the stored section; pullback(beta) = x iff onto_ker(x) is zero."""
+        """The canonical beta whose pullback is x - choice(pushforward(x)),
+        off the stored cokernel section; pullback(beta) = x iff
+        pushforward(x) is zero."""
         coords = self.coker_sect.vec(self.onto_coker(x).coords)
-        return self.coker_proj.domain._element(coords)
+        return self.pullback.domain._element(coords)
+
+    def choice(self, y: GroupElement) -> Optional[GroupElement]:
+        """The chosen preimage of y under pushforward, or None when y
+        lies outside its image ker(g)."""
+        x = solve_hom(self.ker_incl, y)
+        return None if x is None else self.into_ker(x)
 
 
 def split_degree(f: Hom, g: Hom, coker_names, ker_names,
@@ -116,10 +122,8 @@ def split_degree(f: Hom, g: Hom, coker_names, ker_names,
     group, names, (into_coker, into_ker), (onto_coker, onto_ker) = sum_named(
         [(ck, cnames), (kk, knames)])
     return GysinDegree(
-        group=group, names=names,
-        coker_proj=coker_proj, coker_sect=coker_sect, ker_incl=ker_incl,
-        into_coker=into_coker, into_ker=into_ker,
-        onto_coker=onto_coker, onto_ker=onto_ker,
+        group=group, names=names, coker_sect=coker_sect, ker_incl=ker_incl,
+        pullback_image=into_coker, into_ker=into_ker, onto_coker=onto_coker,
         pullback=into_coker.compose(coker_proj),
         pushforward=ker_incl.compose(onto_ker),
         ambiguous=not (split or kk.is_free() or ck.is_zero()),

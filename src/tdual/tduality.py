@@ -11,8 +11,9 @@ b in H^2(E) and H in H^3(E).  The transform:
     p*(beta); its coset modulo <p* p!(H)> is carried to the coset of
     q*(beta) modulo <q* q!(H#)>.
 
-beta and the base class of H are both read off the stored Gysin degree
-(`GysinDegree.lift`), and im(q*) is the stored cokernel summand of H^3(E#).
+b lifts iff p!(b) = 0.  `GysinDegree.lift` gives beta and the base class
+of H, `GysinDegree.choice(e)` the fiberwise half of H# (an explicit
+preimage under q!), and im(q*) is the degree's stored inclusion.
 
 Where p* and q* are onto in degree two (always when the base has
 H^1 = 0) the coset quotients H^2(E)/<p* p!(H)> and H^2(E#)/<q* q!(H#)>
@@ -36,7 +37,6 @@ from .abelian import (
     is_isomorphism,
     quotient_by,
     section_matrix,
-    solve_hom,
 )
 from .gysin import CircleBundle, TotalSpaceCohomology, total_space_cohomology
 
@@ -115,18 +115,14 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
     base; the fiberwise half becomes the source Euler class.  Returns
     (H#, (im(q*), inclusion)): what q!(H#) = e alone leaves open.
     """
-    # e cup e# = 0 since e# = p!(H) lies in the kernel of cup-e; this is
-    # what makes e a legal value of q! on the dual side.
-    if not dual_total.cups[4](t.euler).is_zero():
-        raise ExactnessBugError("source Euler class is not killed by cup e#")
-    beta = t.total.degrees[3].lift(t.flux)
+    # e cup e# = 0 since e# = p!(H) lies in the kernel of cup-e, so e
+    # lies in ker(cup e#), the image of q!
     dd3 = dual_total.degrees[3]
-    x = solve_hom(dd3.ker_incl, t.euler)
-    if x is None:
+    fiberwise = dd3.choice(t.euler)
+    if fiberwise is None:
         raise ExactnessBugError("source Euler class not in the image of q!")
-    hdual = dd3.pullback(beta) + dd3.into_ker(x)
-    # im(q*) is the stored cokernel summand of H^3(E#)
-    return hdual, (dd3.coker_proj.codomain, dd3.into_coker)
+    hdual = dd3.pullback(t.total.degrees[3].lift(t.flux)) + fiberwise
+    return hdual, (dd3.pullback_image.domain, dd3.pullback_image)
 
 
 def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
@@ -169,14 +165,15 @@ def _coset_isomorphism(t: Triple, dual_total: TotalSpaceCohomology,
                        source_coset: CosetData, target_coset: CosetData):
     """An isomorphism between the two coset quotients.
 
-    Natural exactly when p* and q* are onto in degree two (always over a
-    base with H^1 = 0): the witness is the map induced by q* (p*)^-1, the
-    unique phi with phi P = Q for P, Q the degree-two pullbacks followed
-    by the coset projections.  Fallback: equal canonical forms are matched
-    by the identity on canonical generators, which ignores b.
+    Natural exactly when p! and q! vanish on H^2, so that p* and q* are
+    onto in degree two (always over a base with H^1 = 0): the witness is
+    the map induced by q* (p*)^-1, the unique phi with phi P = Q for P, Q
+    the degree-two pullbacks followed by the coset projections.  Fallback:
+    equal canonical forms are matched by the identity on canonical
+    generators, which ignores b.
     """
-    if (t.total.degrees[2].onto_ker.codomain.is_zero()
-            and dual_total.degrees[2].onto_ker.codomain.is_zero()):
+    if (t.total.pushforward(2).is_zero_map()
+            and dual_total.pushforward(2).is_zero_map()):
         p = source_coset.projection.compose(t.total.pullback(2))
         q = target_coset.projection.compose(dual_total.pullback(2))
         return Hom(p.codomain, q.codomain, q.matrix @ section_matrix(p)), True
@@ -193,12 +190,11 @@ def dualize(t: Triple) -> DualityReport:
     dual_total = total_space_cohomology(CircleBundle(base, e_dual), t.total.top)
     hdual, ambiguity = dual_flux(t, dual_total)
 
-    d2 = t.total.degrees[2]
-    if not d2.onto_ker(t.b).is_zero():
+    if not t.total.pushforward(2)(t.b).is_zero():
         raise BNotLiftableError(
             "b is not a pullback from the base; the coset transport is not "
             "defined for it")
-    b_dual = dual_total.pullback(2)(d2.lift(t.b))
+    b_dual = dual_total.pullback(2)(t.total.degrees[2].lift(t.b))
 
     gen_src = t.total.pullback(2)(e_dual)      # p* p!(H)
     gen_dst = dual_total.pullback(2)(e_src)    # q* q!(H#)

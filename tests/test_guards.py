@@ -177,11 +177,12 @@ def test_dual_flux_refuses_the_total_space_of_another_bundle():
     source = total_space_cohomology(CircleBundle(cp2, a))     # S^5, H^3 = 0
     t = Triple(source, source.group(2).zero_element(),
                source.group(3).zero_element())
-    # the true dual has e# = p!(0) = 0; over e# = a, a cup a != 0
-    with pytest.raises(ExactnessBugError, match="cup e#"):
+    # the true dual has e# = p!(0) = 0; over e# = a, a cup a != 0, so e
+    # is not in ker(cup a) = 0, the image of q!
+    with pytest.raises(ExactnessBugError, match="image of q!"):
         dual_flux(t, total_space_cohomology(CircleBundle(cp2, a)))
-    # cups of e# = 0 with the degrees of e# = a: e passes the cup check
-    # but is not in ker(cup a) = 0, the image of q!
+    # cups of e# = 0 with the degrees of e# = a: cups[4] kills e, but the
+    # degrees' image of q! is still ker(cup a) = 0
     mixed = TotalSpaceCohomology(CircleBundle(cp2, a), 4)
     mixed.cups = TotalSpaceCohomology(
         CircleBundle(cp2, cp2.group(2).zero_element()), 4).cups

@@ -1,13 +1,16 @@
 """Lifts read off the stored Gysin degree, swept over the catalog.
 
-dualize lifts b, and dual_flux the pulled-back part of H, through
-GysinDegree.lift: the stored cokernel section applied to the class's
-coker(cup e) part.  A class lifts exactly when its ker(cup e) part
-vanishes, which must be the same question the per-element solve asks,
-and the ambiguity of H# is the stored cokernel summand of H^3(E#), which
-must be im(q*) as a subgroup.  The bench corpus holds no b that fails to
-lift, so this sweeps every catalog base, Euler classes 0 and +-g, each
-flux generator and a small grid of b coordinates.
+A degree is read through p*, p! and two preimages: GysinDegree.lift
+(the stored cokernel section, a preimage under p*) and
+GysinDegree.choice (one explicit preimage under p! of a class of
+ker(cup e)).  Every class must be p*(lift(x)) + choice(p!(x)), and the
+choice must exist exactly on ker(cup e).  dualize lifts b, and
+dual_flux the pulled-back part of H, through lift; b lifts exactly when
+p!(b) = 0, which must be the same question the per-element solve asks,
+and the ambiguity of H# is the stored inclusion of im(q*) in H^3(E#),
+which must be im(q*) as a subgroup.  The bench corpus holds no b that
+fails to lift, so this sweeps every catalog base, several Euler
+classes, each flux generator and a small grid of coordinates.
 """
 
 import itertools
@@ -49,6 +52,34 @@ def _same_subgroup(a, b):
     return (ga == gb and ia.codomain == ib.codomain
             and oracles.lattices_equal(ia.matrix.hstack(rels),
                                        ib.matrix.hstack(rels)))
+
+
+def test_every_class_is_its_lift_plus_the_choice_of_its_pushforward():
+    classes = refused = 0
+    for name in CATALOG:
+        base = cohomology_of(parse_space(name), 4)
+        w2 = base.group(2)
+        for e in [w2.zero_element()] + [g.scale(s) for g in w2.generators()
+                                        for s in (1, -1, 2, 3)]:
+            tsc = total_space_cohomology(CircleBundle(base, e), 3)
+            for k, d in enumerate(tsc.degrees):
+                push, pull = tsc.pushforward(k), tsc.pullback(k)
+                for coords in _grid(d.group.ngens):
+                    x = d.group.element(coords)
+                    assert x == pull(d.lift(x)) + d.choice(push(x)), \
+                        (name, e.coords, k, coords)
+                    classes += 1
+                below = push.codomain
+                for coords in _grid(below.ngens):
+                    y = below.element(coords)
+                    z = d.choice(y)
+                    if tsc.cups[k + 1](y).is_zero():
+                        assert z is not None and push(z) == y, \
+                            (name, e.coords, k, coords)
+                    else:
+                        assert z is None, (name, e.coords, k, coords)
+                        refused += 1
+    assert classes and refused
 
 
 def test_b_lifts_exactly_when_the_per_element_solve_finds_a_preimage():

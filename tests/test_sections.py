@@ -279,21 +279,21 @@ def test_is_isomorphism_and_hom_inverse_match_kernel_and_cokernel(h):
 
 def test_gysin_degree_keeps_the_cokernel_section():
     """GysinDegree.lift reads the base classes of b and H off the stored
-    section: it must be the section of the degree's cokernel and give the
-    solve_hom preimage."""
+    section: on im(p*) it must be the section of the degree's cokernel
+    coker(cup e) and give the solve_hom preimage."""
     for name in ("S2", "T2", "RP5", "CP2", "Sigma3"):
         base = cohomology_of(parse_space(name), 5)
         h2 = base.group(2)
         for e in [h2.zero_element()] + [g.scale(2) for g in h2.generators()]:
             tsc = total_space_cohomology(CircleBundle(base, e), 4)
-            for d in tsc.degrees:
-                assert d.coker_sect == section_matrix(d.coker_proj)
-                coker = d.coker_proj.codomain
+            for k, d in enumerate(tsc.degrees):
+                coker, proj = cokernel(tsc.cups[k])
+                assert d.pullback_image.domain == coker
                 gens = coker.generators()
                 mixed = coker.element([i + 2 for i in range(coker.ngens)])
                 for y in gens + [mixed]:
-                    x = d.coker_proj.domain.element(d.coker_sect.vec(y.coords))
-                    assert x == solve_hom(d.coker_proj, y), (name, e.coords, y)
+                    x = d.lift(d.pullback_image(y))
+                    assert x == solve_hom(proj, y), (name, e.coords, y)
 
 
 @pytest.fixture
