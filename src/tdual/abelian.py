@@ -14,6 +14,7 @@ coordinates are always stored reduced.
 Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
 which keeps maps into and out of the zero group honest.  Values compare by
 value: kernel, cokernel_presentation, section_matrix, solve_hom are memos.
+Only cokernel_presentation factors a relation matrix; the other three read it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from typing import Optional, Sequence
 
 # Each memo keeps its MEMO_SIZE latest answers by argument value, none that
 # raised; total_space_cohomology.cache_clear() empties them all.  Cokernels,
-# quotients, direct sums and kernels share cokernel_presentation's answers.
+# quotients, direct sums and kernels share cokernel_presentation's answers;
+# kernel, solve_hom, section_matrix and is_exact_at read its Smith forms.
 MEMO_SIZE = 16
 memo = lru_cache(maxsize=MEMO_SIZE)
 
@@ -571,16 +573,17 @@ def _reduce_matrix(codomain: FgGroup, m: IntMatrix) -> IntMatrix:
 def cokernel_presentation(n: int, relations: IntMatrix):
     """Z^n modulo the column span of `relations`, in canonical form.
 
-    Returns (group, proj, sect): proj is the (ngens x n) coordinate matrix
-    of the projection Z^n -> group, and sect is an (n x ngens) matrix whose
-    columns are ambient representatives of the canonical generators.
+    Returns (group, proj, sect, snf): proj is the (ngens x n) coordinate
+    matrix of the projection Z^n -> group, sect is an (n x ngens) matrix
+    whose columns are ambient representatives of the canonical generators,
+    and snf is the (u, uinv, d, v) of relations they were read from.
     """
     if relations.rows != n:
         raise ValueError("relations live in the wrong ambient rank")
-    if n == 0 or relations.cols == 0:  # what the Smith form would give
-        one = IntMatrix.identity(n)
-        return FgGroup(n), one, one
-    u, uinv, d, _ = _snf_with_inverses(relations)
+    if n == 0 or relations.cols == 0:  # an empty matrix is its own Smith form
+        one, v = IntMatrix.identity(n), IntMatrix.identity(relations.cols)
+        return FgGroup(n), one, one, (one, one, relations, v)
+    snf = u, uinv, d, _ = _snf_with_inverses(relations)
     diag = d.diagonal()
     free_idx = [i for i in range(n) if (diag[i] if i < len(diag) else 0) == 0]
     tors_idx = [i for i in range(n) if i < len(diag) and diag[i] >= 2]
@@ -589,7 +592,7 @@ def cokernel_presentation(n: int, relations: IntMatrix):
     proj = IntMatrix._of(len(kept), n, tuple(u.entries[i] for i in kept))
     sect = IntMatrix._of(n, len(kept), tuple(tuple(row[i] for i in kept)
                                              for row in uinv.entries))
-    return group, proj, sect
+    return group, proj, sect, snf
 
 
 def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
@@ -599,7 +602,7 @@ def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
     where reps is an (n x ngens) matrix of ambient representatives of the
     canonical generators.
     """
-    u, uinv, d, _ = _snf_with_inverses(gens)
+    u, uinv, d, _ = cokernel_presentation(n, gens)[3]
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     # coordinates of the relations in the lattice basis b_i = d_i * uinv[:, i]
@@ -609,7 +612,7 @@ def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
         if z is None:
             raise ValueError("relations do not lie in the generator lattice")
         rel_coords.append(z[:rank])
-    group, _, sect = cokernel_presentation(rank, _from_columns(rel_coords, rank))
+    group, _, sect, _ = cokernel_presentation(rank, _from_columns(rel_coords, rank))
     basis = IntMatrix._of(n, rank, tuple(tuple(map(mul, row[:rank], diag))
                                          for row in uinv.entries))
     return group, basis @ sect
@@ -627,14 +630,14 @@ def _stacked(h: Hom) -> IntMatrix:
 
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
-    group, proj, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
+    group, proj, _, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
     return group, Hom._of(h.codomain, group, proj)
 
 
 def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     """Lattice {x in Z^n_dom : h(x) = 0 in the codomain}, as columns."""
     na = h.domain.ngens
-    _, _, d, v = _snf_with_inverses(_stacked(h))
+    _, _, d, v = cokernel_presentation(h.codomain.ngens, _stacked(h))[3]
     rank = sum(1 for x in d.diagonal() if x != 0)
     free = IntMatrix._of(na, v.cols - rank, tuple(row[rank:] for row in v.entries[:na]))
     return free.hstack(h.domain.relations())  # relations: always in the kernel
@@ -659,15 +662,15 @@ def image(h: Hom) -> tuple[FgGroup, Hom]:
 def is_exact_at(f: Hom, g: Hom) -> bool:
     """True iff im(f) = ker(g) inside the middle group.
 
-    im(f) lies in ker(g) iff g f = 0.  For the converse, one Smith form of
-    the image lattice [f | relations] tests every kernel lattice column.
+    im(f) lies in ker(g) iff g f = 0, and ker(g) in im(f) iff the projection
+    onto coker(f) kills every column of the kernel lattice of g.
     """
     if f.codomain != g.domain:
         raise HomError("chain does not compose: codomain(f) != domain(g)")
     if not g.compose(f).is_zero_map():
         return False
-    u, _, d, _ = _snf_with_inverses(_stacked(f))
-    return all(_back_substitute(d, u.vec(col)) is not None
+    group, proj = cokernel(f)
+    return all(group._element(proj.matrix.vec(col)).is_zero()
                for col in _preimage_of_zero_lattice(g).columns())
 
 
@@ -684,7 +687,7 @@ def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     """One x with h(x) = y, or None; deterministic canonical choice."""
     if y.group != h.codomain:
         raise HomError("target element is not in the codomain")
-    u, _, d, v = _snf_with_inverses(_stacked(h))
+    u, _, d, v = cokernel_presentation(h.codomain.ngens, _stacked(h))[3]
     return _canonical_preimage(h, d, v, u.vec(y.coords))
 
 
@@ -698,14 +701,11 @@ def section_matrix(h: Hom) -> IntMatrix:
     h.domain.element(section.vec(y.coords)) equals solve_hom(h, y) for
     every element y of the codomain.
     """
-    na, nb = h.domain.ngens, h.codomain.ngens
-    if nb == 0:
-        return IntMatrix.zeros(na, 0)
-    u, _, d, v = _snf_with_inverses(_stacked(h))
+    u, _, d, v = cokernel_presentation(h.codomain.ngens, _stacked(h))[3]
     xs = [_canonical_preimage(h, d, v, uy) for uy in u.columns()]
     if any(x is None for x in xs):
         raise HomError("not surjective: a codomain generator has no preimage")
-    return _from_columns([x.coords for x in xs], na)
+    return _from_columns([x.coords for x in xs], h.domain.ngens)
 
 
 def is_isomorphism(h: Hom) -> bool:
@@ -736,7 +736,7 @@ def direct_sum(summands: Sequence[FgGroup]):
     offsets = [sum(g.ngens for g in summands[:i]) for i in range(len(summands))]
     rel_cols = [(0,) * off + col + (0,) * (n - off - g.ngens)  # block diagonal
                 for g, off in zip(summands, offsets) for col in g.relations().columns()]
-    group, proj, sect = cokernel_presentation(n, _from_columns(rel_cols, n))
+    group, proj, sect, _ = cokernel_presentation(n, _from_columns(rel_cols, n))
     inclusions, projections = [], []
     for g, off in zip(summands, offsets):
         # summand g owns columns off.. of proj and rows off.. of sect

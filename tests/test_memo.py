@@ -4,11 +4,13 @@ kernel, cokernel_presentation, section_matrix, solve_hom,
 spaces.cohomology_of and the solved total spaces each keep their
 MEMO_SIZE most recent answers, keyed by argument value; cokernel,
 quotient_by, direct_sum and kernel share their presentations through
-cokernel_presentation.  A memo must answer as the plain function does, hand
-out one shared value for equal arguments without factoring anything
-again, stay within its bound, keep no call that raises, and empty with
-total_space_cohomology.cache_clear(), the one cold-start hook.  What a
-solved total space keeps for its reports goes with it when it leaves.
+cokernel_presentation, which also keeps the Smith form that kernel,
+solve_hom and section_matrix read.  A memo must answer as the plain
+function does, hand out one shared value for equal arguments without
+factoring anything again, stay within its bound, keep no call that
+raises, and empty with total_space_cohomology.cache_clear(), the one
+cold-start hook.  What a solved total space keeps for its reports goes
+with it when it leaves.
 """
 
 import gc
@@ -104,12 +106,13 @@ def _questions(h, data):
 
 @contextmanager
 def counted_snf():
-    """Smith forms run inside the block, counted in the yielded list."""
-    calls = [0]
+    """Smith forms run inside the block: the yielded list gets each
+    factored matrix."""
+    calls = []
     original = abelian._snf_with_inverses
 
     def counted(m):
-        calls[0] += 1
+        calls.append(m)
         return original(m)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -155,11 +158,11 @@ def test_a_repeated_question_shares_its_answer_and_factors_nothing(h, data):
         first = fn(*args)
         with counted_snf() as calls:
             again = fn(*_twin_args(args))
-        assert again is first and calls[0] == 0, fn.__name__
+        assert again is first and not calls, fn.__name__
     first = cokernel(h)                       # through cokernel_presentation
     with counted_snf() as calls:
         again = cokernel(_twin(h))
-    assert again == first and calls[0] == 0
+    assert again == first and not calls
 
 
 def test_equal_direct_sums_share_one_smith_form():
@@ -168,8 +171,25 @@ def test_equal_direct_sums_share_one_smith_form():
     with counted_snf() as calls:
         first = direct_sum(summands)
         again = direct_sum([_twin_group(g) for g in summands])
-    assert calls[0] == 1 and again == first
+    assert len(calls) == 1 and again == first
     assert first[0] == FgGroup(0, (2, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(surjections(), st.data())
+def test_questions_about_one_hom_share_its_smith_form(h, data):
+    """cokernel, kernel, solve_hom and section_matrix all read the
+    factorization of [h | relations] that cokernel_presentation keeps."""
+    total_space_cohomology.cache_clear()
+    stacked = abelian._stacked(h)
+    y = h.codomain.element([data.draw(st.integers(-9, 9))
+                            for _ in range(h.codomain.ngens)])
+    with counted_snf() as calls:
+        cokernel(h)
+        kernel(h)
+        solve_hom(h, y)
+        section_matrix(h)
+    assert calls.count(stacked) == 1
 
 
 def test_every_memo_stays_within_its_bound():
@@ -198,10 +218,10 @@ def test_every_memo_stays_within_its_bound():
 def test_a_failing_section_is_never_kept():
     total_space_cohomology.cache_clear()
     h = Hom(Z, FgGroup(0, (4,)), IntMatrix.from_rows([[2]]))   # not onto
-    for _ in range(3):
+    for i in range(3):
         with counted_snf() as calls, pytest.raises(HomError):
             section_matrix(_twin(h))
-        assert calls[0] == 1                  # factored again every time
+        assert len(calls) == (i == 0)         # factored on the first call only
         assert section_matrix.cache_info().currsize == 0
     with pytest.raises(HomError):             # y outside the codomain
         solve_hom(h, Z.element([1]))

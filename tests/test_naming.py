@@ -127,3 +127,16 @@ def test_inherited_names_across_the_catalog():
                         continue
                     checked += 1
     assert checked > 500
+
+
+@pytest.mark.xfail(strict=True, reason="a p*(g) label sits on -p*(g) when "
+                   "the Euler class is -k*g with k >= 3 (CHANGES.md FOUND)")
+def test_a_pullback_label_names_the_pullback_itself():
+    """The catalog sweep above accepts either sign.  Over S2 with
+    e = -3*vol, H^2(E) = Z/3 and p*(vol) is coordinate 2, but the label
+    p*(vol) sits on coordinate 1."""
+    base = cohomology_of(parse_space("S2"), 4)
+    vol = base.named_element(2, "vol")
+    tsc = total_space_cohomology(CircleBundle(base, vol.scale(-3)), 3)
+    assert tsc.group(2) == FgGroup(0, (3,))
+    assert tsc.named_element(2, "p*(vol)") == tsc.pullback(2)(vol)

@@ -205,10 +205,11 @@ def test_dense_arithmetic_matches_the_entrywise_definition():
 def test_empty_presentation_equals_the_smith_form_path(shape):
     n, k = shape
     relations = IntMatrix.zeros(n, k)
-    u, uinv, d, _ = _snf_with_inverses(relations)
+    snf = u, uinv, d, _ = _snf_with_inverses(relations)
     assert d.diagonal() == []  # every row is free, kept in order
-    group, proj, sect = cokernel_presentation(n, relations)
+    group, proj, sect, kept = cokernel_presentation(n, relations)
     assert (group, proj, sect) == (FgGroup(n), u, uinv)
+    assert kept == snf  # what kernel, solve_hom and section_matrix read
     assert checked(proj, sect)
 
 
