@@ -39,7 +39,6 @@ from .abelian import (
     Hom,
     IntMatrix,
     MEMO_SIZE as SOLVED_CACHE_SIZE,
-    ZERO_GROUP,
     cokernel,
     cokernel_presentation,
     is_exact_at,
@@ -161,26 +160,25 @@ class TotalSpaceCohomology:
 
     # -- accessors ---------------------------------------------------------
 
+    def _degree(self, k: int) -> GysinDegree:
+        if not 0 <= k <= self.top:
+            raise GysinError(f"degree {k} is outside the solved 0..{self.top}")
+        return self.degrees[k]
+
     def group(self, k: int) -> FgGroup:
-        if k < 0 or k > self.top:
-            return ZERO_GROUP
-        return self.degrees[k].group
+        return self._degree(k).group
 
     def names(self, k: int) -> tuple:
-        return self.degrees[k].names if 0 <= k <= self.top else ()
+        return self._degree(k).names
 
     def named_element(self, k: int, name: str) -> GroupElement:
         return self.group(k).generator(self.names(k).index(name))
 
     def pullback(self, k: int) -> Hom:
-        if k < 0 or k > self.top:
-            return Hom.zero(self.base.group(k), self.group(k))
-        return self.degrees[k].pullback
+        return self._degree(k).pullback
 
     def pushforward(self, k: int) -> Hom:
-        if k < 0 or k > self.top:
-            return Hom.zero(self.group(k), self.base.group(k - 1))
-        return self.degrees[k].pushforward
+        return self._degree(k).pushforward
 
     def ambiguous_degrees(self) -> list[int]:
         return [k for k in range(self.top + 1) if self.degrees[k].ambiguous]

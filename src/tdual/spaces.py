@@ -6,15 +6,14 @@ degree-two classes.  The ring is stored only through those cup maps: one
 matrix per degree-two generator and per degree, which is exactly the data
 the Gysin sequence consumes.
 
-Catalog spaces: point, S^n (1 <= n <= 8), T^2, Sigma_g (orientable genus-g
-surface, 2 <= g <= 8), RP^n (2 <= n <= 8), CP^2, and a degree-truncated
-K(Z,2).  Coordinates of elements are always with respect to the listed
-generator order of each degree.
+Catalog spaces: point, S^n, T^2, Sigma_g (orientable genus-g surface),
+RP^n, CP^2, and a degree-truncated K(Z,2); `_KINDS` states each kind's
+parameter range and spellings.  Coordinates of elements are always with
+respect to the listed generator order of each degree.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -115,16 +114,17 @@ def _build(label, max_degree, data, cup_entries=(), simply_connected=None):
 # the catalog
 # ---------------------------------------------------------------------------
 
-# kind -> (display format, dimension, parameters); "n" stands for the
-# parameter, which must be one parse_space accepts
+# kind -> (display format, dimension, parameters, lower-case spellings);
+# "n" and "{n}" stand for the parameter, one of the kind's parameters
 _KINDS = {
-    "point": ("point", 0, (0,)),
-    "sphere": ("S{n}", "n", range(1, 9)),
-    "torus": ("T2", 2, (0,)),
-    "surface": ("Sigma{n}", 2, range(2, 9)),
-    "rp": ("RP{n}", "n", range(2, 9)),
-    "cp2": ("CP2", 4, (0,)),
-    "kz2": ("KZ2", None, (0,)),
+    "point": ("point", 0, (0,), ("point",)),
+    "sphere": ("S{n}", "n", range(1, 9), ("s{n}", "s^{n}")),
+    "torus": ("T2", 2, (0,), ("t2", "t^2")),
+    "surface": ("Sigma{n}", 2, range(2, 9),
+                ("sigma{n}", "sigma_{n}", "sigma^{n}")),
+    "rp": ("RP{n}", "n", range(2, 9), ("rp{n}", "rp^{n}")),
+    "cp2": ("CP2", 4, (0,), ("cp2", "cp^2")),
+    "kz2": ("KZ2", None, (0,), ("kz2", "k(z,2)")),
 }
 
 
@@ -152,19 +152,16 @@ class CatalogSpace:
         return _KINDS[self.kind][0].format(n=self.param)
 
 
-# one named group per kind; a kind with a parameter captures its digit
-_SPACE_RE = re.compile(
-    r"^(?:(?P<point>point)|s\^?(?P<sphere>[1-8])|(?P<torus>t\^?2)|"
-    r"sigma[_^]?(?P<surface>[2-8])|rp\^?(?P<rp>[2-8])|(?P<cp2>cp\^?2)|"
-    r"(?P<kz2>kz2|k\(z,2\)))$")
+_SPELLINGS = {spelling.format(n=n): CatalogSpace(kind, n)
+              for kind, (_, _, params, spellings) in _KINDS.items()
+              for n in params for spelling in spellings}
 
 
 def parse_space(name: str) -> CatalogSpace:
-    m = _SPACE_RE.match(name.strip().lower())
-    if not m:
-        raise UnknownSpaceError(f"unknown catalog space {name!r}")
-    text = m[m.lastgroup]
-    return CatalogSpace(m.lastgroup, int(text) if text.isdigit() else 0)
+    try:
+        return _SPELLINGS[name.strip().lower()]
+    except KeyError:
+        raise UnknownSpaceError(f"unknown catalog space {name!r}") from None
 
 
 Z = FgGroup(1)

@@ -19,18 +19,51 @@ def groups_of(gc):
     return [gc.group(k) for k in range(gc.max_degree + 1)]
 
 
+# every lower-case spelling the catalog accepts, by kind and parameter
+SPELLINGS = {
+    ("point", 0): ("point",),
+    ("sphere", 1): ("s1", "s^1"),
+    ("sphere", 2): ("s2", "s^2"),
+    ("sphere", 3): ("s3", "s^3"),
+    ("sphere", 4): ("s4", "s^4"),
+    ("sphere", 5): ("s5", "s^5"),
+    ("sphere", 6): ("s6", "s^6"),
+    ("sphere", 7): ("s7", "s^7"),
+    ("sphere", 8): ("s8", "s^8"),
+    ("torus", 0): ("t2", "t^2"),
+    ("surface", 2): ("sigma2", "sigma_2", "sigma^2"),
+    ("surface", 3): ("sigma3", "sigma_3", "sigma^3"),
+    ("surface", 4): ("sigma4", "sigma_4", "sigma^4"),
+    ("surface", 5): ("sigma5", "sigma_5", "sigma^5"),
+    ("surface", 6): ("sigma6", "sigma_6", "sigma^6"),
+    ("surface", 7): ("sigma7", "sigma_7", "sigma^7"),
+    ("surface", 8): ("sigma8", "sigma_8", "sigma^8"),
+    ("rp", 2): ("rp2", "rp^2"),
+    ("rp", 3): ("rp3", "rp^3"),
+    ("rp", 4): ("rp4", "rp^4"),
+    ("rp", 5): ("rp5", "rp^5"),
+    ("rp", 6): ("rp6", "rp^6"),
+    ("rp", 7): ("rp7", "rp^7"),
+    ("rp", 8): ("rp8", "rp^8"),
+    ("cp2", 0): ("cp2", "cp^2"),
+    ("kz2", 0): ("kz2", "k(z,2)"),
+}
+
+
 def test_parse_space():
-    assert parse_space("S2") == CatalogSpace("sphere", 2)
-    assert parse_space("s^3") == CatalogSpace("sphere", 3)
-    assert parse_space("T2") == CatalogSpace("torus")
-    assert parse_space("Sigma_4") == CatalogSpace("surface", 4)
-    assert parse_space("RP5") == CatalogSpace("rp", 5)
-    assert parse_space("CP^2") == CatalogSpace("cp2")
-    assert parse_space("point") == CatalogSpace("point")
-    with pytest.raises(UnknownSpaceError):
-        parse_space("RP9")
-    with pytest.raises(UnknownSpaceError):
-        parse_space("banana")
+    assert sum(map(len, SPELLINGS.values())) == 58
+    for (kind, param), spellings in SPELLINGS.items():
+        for spelling in spellings:
+            for name in (spelling, spelling.upper(), spelling.title(),
+                         f" \t{spelling}\n "):
+                assert parse_space(name) == CatalogSpace(kind, param)
+    for name in ["s0", "s9", "s01", "s10", "s_2", "s^^2", "s 2", "sigma1",
+                 "sigma9", "sigma-2", "rp1", "rp9", "rp_3", "t3", "t_2",
+                 "cp3", "kz3", "k(z, 2)", "s\u00b2", "s\u0662", "",
+                 "banana"]:
+        with pytest.raises(UnknownSpaceError) as refused:
+            parse_space(name)
+        assert str(refused.value) == f"unknown catalog space {name!r}"
 
 
 def test_catalog_space_accepts_exactly_what_parse_space_accepts():
