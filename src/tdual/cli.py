@@ -151,9 +151,9 @@ def _build_total(spec):
 
 
 def run_job(spec: dict) -> dict:
-    """Dispatch one job; deterministic output for identical input.  The
-    reports of one bundle share its total-space table, which emit_json
-    writes once per indent, so a report is read-only to its caller."""
+    """Dispatch one job; deterministic output for identical input.  Reports
+    share the table of each bundle and the node of each group and matrix,
+    which emit_json writes once per indent: a report is read-only."""
     name = spec.get("mode")
     mode = MODES.get(name) if isinstance(name, str) else None
     if mode is None:

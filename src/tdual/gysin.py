@@ -48,6 +48,7 @@ from .abelian import (
     solve_hom,
 )
 from .spaces import GradedCohomology, cohomology_of, inherited_names, sum_named
+from .report import group_json, matrix_json
 
 
 # The names a total-space generator inherits from a base generator g:
@@ -204,7 +205,7 @@ def total_space_cohomology(bundle: CircleBundle,
 
 def _clear_memos():
     for cached in (_solved, cohomology_of, cokernel_presentation, kernel,
-                   section_matrix, solve_hom):
+                   section_matrix, solve_hom, group_json, matrix_json):
         cached.cache_clear()
 
 

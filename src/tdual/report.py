@@ -2,7 +2,9 @@
 
 Groups serialize as {"rank": r, "torsion": [d1, ...]} plus a display
 string like "Z^2 + Z/4"; maps serialize as row-major integer matrices.
-JSON output is schema-versioned, key-sorted and newline-terminated, so
+Each distinct group and matrix is one shared node (a memo), written once
+per indent like a total-space table, so reports are read-only.  JSON
+output is schema-versioned, key-sorted and newline-terminated, so
 identical jobs yield byte-identical documents and parse/re-emit round
 trips are stable.
 """
@@ -13,20 +15,37 @@ import json
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
-from .abelian import FgGroup, Hom, IntMatrix
+from .abelian import FgGroup, Hom, IntMatrix, memo
 
 SCHEMA_VERSION = 1
 _LITERALS = {True: "true", False: "false", None: "null"}  # json.dumps of each
 
 
-def group_json(g: FgGroup) -> dict:
-    return {"rank": g.free_rank, "torsion": list(g.torsion),
-            "display": g.describe()}
+class Table(dict):
+    """A dict that keeps its JSON text per indent once _json writes it.
+    Reports share the Table of each solved total space and of each group
+    and matrix, so a report is read-only; copy, deepcopy and pickle give
+    a plain dict."""
+    __slots__ = ("texts",)
+
+    def __init__(self, doc):
+        super().__init__(doc)
+        self.texts = {}
+
+    def __reduce__(self):
+        return dict, (dict(self),)
 
 
-def matrix_json(m: IntMatrix) -> dict:
-    return {"rows": m.rows, "cols": m.cols,
-            "entries": [list(r) for r in m.entries]}
+@memo
+def group_json(g: FgGroup) -> Table:
+    return Table({"rank": g.free_rank, "torsion": list(g.torsion),
+                  "display": g.describe()})
+
+
+@memo
+def matrix_json(m: IntMatrix) -> Table:
+    return Table({"rows": m.rows, "cols": m.cols,
+                  "entries": [list(r) for r in m.entries]})
 
 
 def hom_json(h: Hom) -> dict:
@@ -37,20 +56,6 @@ def hom_json(h: Hom) -> dict:
 def graded_json(groups, names) -> dict:
     return {str(k): {"group": group_json(g), "generators": list(ns)}
             for k, (g, ns) in enumerate(zip(groups, names))}
-
-
-class Table(dict):
-    """A dict that keeps its JSON text per indent once _json writes it.
-    The reports of one solved total space share its Table, so a report is
-    read-only; copy, deepcopy and pickle give a plain dict."""
-    __slots__ = ("texts",)
-
-    def __init__(self, doc):
-        super().__init__(doc)
-        self.texts = {}
-
-    def __reduce__(self):
-        return dict, (dict(self),)
 
 
 def total_space_json(tsc) -> dict:

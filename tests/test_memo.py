@@ -1,8 +1,9 @@
 """The memos on the pure group operations and on the base tables.
 
 kernel, cokernel_presentation, section_matrix, solve_hom,
-spaces.cohomology_of and the solved total spaces each keep their
-MEMO_SIZE most recent answers, keyed by argument value; cokernel,
+spaces.cohomology_of, the solved total spaces and the report nodes
+report.group_json and report.matrix_json each keep their MEMO_SIZE most
+recent answers, keyed by argument value; cokernel,
 quotient_by, direct_sum and kernel share their presentations through
 cokernel_presentation, which also keeps the Smith form that kernel,
 solve_hom and section_matrix read.  A memo must answer as the plain
@@ -40,7 +41,7 @@ from tdual.abelian import (
 from tdual import cli
 from tdual.cli import run_job
 from tdual.gysin import SOLVED_CACHE_SIZE, total_space_cohomology
-from tdual.report import emit_json
+from tdual.report import Table, emit_json, group_json, matrix_json
 from tdual.spaces import CatalogSpace, cohomology_of, parse_space
 
 from .test_naming import CATALOG
@@ -124,7 +125,7 @@ def test_one_bound_for_every_memo():
     assert SOLVED_CACHE_SIZE == MEMO_SIZE
     assert {m.__wrapped__ for m in _memos()} == {f.__wrapped__ for f in (
         kernel, cokernel_presentation, section_matrix, solve_hom,
-        cohomology_of, gysin._solved)}
+        cohomology_of, gysin._solved, group_json, matrix_json)}
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in _memos())
 
 
@@ -135,6 +136,19 @@ def test_memos_answer_as_the_plain_functions(h, data):
         got = fn(*args)
         want = fn.__wrapped__(*_twin_args(args))
         assert got == want, (fn.__name__, args)
+
+
+@settings(max_examples=100, deadline=None)
+@given(homs())
+def test_report_nodes_answer_as_the_plain_functions(h):
+    """group_json and matrix_json hand out one Table per value, equal to
+    the node the plain function builds."""
+    for fn, value, twin in ((group_json, h.domain, _twin_group(h.domain)),
+                            (group_json, h.codomain, _twin_group(h.codomain)),
+                            (matrix_json, h.matrix, _twin_matrix(h.matrix))):
+        node = fn(value)
+        assert type(node) is Table and fn(twin) is node
+        assert node == fn.__wrapped__(twin)
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,6 +220,8 @@ def test_every_memo_stays_within_its_bound():
         section_matrix: [(h,) for h in onto],
         solve_hom: [(scalings[0], Z.element([k])) for k in range(n)],
         cohomology_of: list(tables),
+        group_json: [(FgGroup(k),) for k in range(n)],
+        matrix_json: [(h.matrix,) for h in scalings],
     }
     for fn, calls in questions.items():
         assert len(set(calls)) == n
@@ -234,6 +250,7 @@ def test_cache_clear_empties_every_memo():
     run_job({"mode": "coset-partition", "base": "T2", "euler": "0",
              "gen": "2*p*(vol)"})
     memos = _memos()
+    assert {group_json, matrix_json} <= set(memos)
     assert all(m.cache_info().currsize for m in memos)
     total_space_cohomology.cache_clear()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)

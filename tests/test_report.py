@@ -7,7 +7,8 @@ its output is compared with json.dumps(doc, sort_keys=True, indent=2) +
 catalog base.  Only str keys are written: any other key raises the
 TypeError of json's string encoder.  A solved total space keeps its table
 and the table's text per indent, so later reports of the bundle share
-both; they must still be written as json.dumps would, at every depth.
+both, and each distinct group and matrix is one shared node in the same
+way; they must still be written as json.dumps would, at every depth.
 """
 
 import argparse
@@ -15,15 +16,24 @@ import copy
 import enum
 import io
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdual import cli
+from tdual.abelian import FgGroup, IntMatrix
 from tdual.cli import run_job
 from tdual.gysin import total_space_cohomology
-from tdual.report import SCHEMA_VERSION, Table, emit_json, emit_text
+from tdual.report import (
+    SCHEMA_VERSION,
+    Table,
+    emit_json,
+    emit_text,
+    group_json,
+    matrix_json,
+)
 
 BASES = (["point"] + [f"S{n}" for n in range(1, 9)] + ["T2"]
          + [f"Sigma{g}" for g in range(2, 9)] + [f"RP{n}" for n in range(2, 9)]
@@ -179,13 +189,89 @@ def test_reports_of_a_solved_bundle_share_its_table_at_every_depth(
         assert out.getvalue() == want
 
 
+def _tables(doc):
+    """Every Table node in doc, at any depth."""
+    if type(doc) is Table:
+        yield doc
+    if isinstance(doc, (dict, list, tuple)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _tables(value)
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_two_reports_share_a_group_node_written_at_two_depths(order):
+    """H^2 of L(4) is the h2 node of a coset-partition report (depth 1)
+    and the group of degree 2 of a cohomology report (depth 3)."""
+    total_space_cohomology.cache_clear()
+    bundle = {"base": "S2", "euler": "4"}
+    docs = [run_job({"mode": "cohomology", **bundle}),
+            run_job({"mode": "coset-partition", **bundle, "gen": "0"})]
+    node = docs[1]["h2"]
+    assert type(node) is Table and docs[0]["total_space"]["2"]["group"] is node
+    assert node["display"] == "Z/4"
+    for i in order:
+        assert emit_json(docs[i]) == reference(docs[i])
+    assert {"\n  ", "\n      "} <= set(node.texts)   # depths 1 and 3
+
+
 def test_a_copied_report_is_plain_and_free_to_change():
     total_space_cohomology.cache_clear()
-    doc = run_job({"mode": "cohomology", "base": "S2", "euler": "vol"})
-    emit_json(doc)                              # the shared text is written
-    for copied in (copy.copy(doc["total_space"]),
-                   copy.deepcopy(doc)["total_space"]):
-        assert type(copied) is dict and copied == doc["total_space"]
+    doc = run_job({"mode": "dualize", "base": "S2", "euler": "vol",
+                   "flux": "vol.z"})
+    emit_json(doc)                              # the shared texts are written
+    shared = list(_tables(doc))
+    assert {("display", "rank", "torsion"), ("cols", "entries", "rows")} <= {
+        tuple(sorted(t)) for t in shared}       # group and matrix nodes
+    for table in shared:
+        assert type(copy.copy(table)) is dict and copy.copy(table) == table
+    for copied in (copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
+        assert copied == doc and not list(_tables(copied))
     changed = copy.deepcopy(doc)
-    changed["total_space"]["0"]["generators"] = ["one"]
+    changed["source"]["table"]["0"]["generators"] = ["one"]
+    changed["flux_ambiguity"]["subgroup"]["display"] = "changed"
     assert emit_json(changed) == reference(changed) != emit_json(doc)
+    assert emit_json(doc) == reference(doc)
+
+
+@st.composite
+def report_groups(draw):
+    """Groups with torsion factors up to and past 64 bits."""
+    chain = [draw(st.integers(2, 2 ** 70))] if draw(st.booleans()) else []
+    for _ in range(draw(st.integers(0, 2)) if chain else 0):
+        chain.append(chain[-1] * draw(st.integers(1, 2 ** 70)))
+    return FgGroup(draw(st.integers(0, 3)), tuple(chain))
+
+
+@st.composite
+def report_matrices(draw):
+    """Matrices of every shape up to 3 x 3, 0 x n and n x 0 among them."""
+    rows, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    return IntMatrix(rows, cols, tuple(tuple(draw(ints) for _ in range(cols))
+                                       for _ in range(rows)))
+
+
+def _nested(node, depth: int):
+    """node at depth `depth` of a document, under dicts and lists in turn."""
+    for d in range(depth):
+        node = {"k": node} if d % 2 else [node]
+    return node
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(report_groups().map(group_json),
+                          report_matrices().map(matrix_json)),
+                min_size=1, max_size=3),
+       st.permutations(range(1, 6)))
+@example([matrix_json(IntMatrix(0, 3, ())),
+          matrix_json(IntMatrix(2, 0, ((), ()))),
+          group_json(FgGroup(0, (2 ** 65, 2 ** 66)))], [1, 2, 3, 4, 5])
+def test_shared_nodes_are_written_as_json_dumps_would_at_every_depth(
+        nodes, depths):
+    """Each group and matrix node written at depths 1-5 in a drawn order,
+    as it stands and inside one document that holds it at every depth."""
+    for depth in depths:
+        for node in nodes:
+            doc = _nested(node, depth)
+            assert emit_json(doc) == reference(doc)
+    doc = [_nested(node, depth) for depth in depths for node in nodes]
+    assert emit_json(doc) == reference(doc)
