@@ -570,16 +570,16 @@ def _reduce_matrix(codomain: FgGroup, m: IntMatrix) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 @memo
-def cokernel_presentation(n: int, relations: IntMatrix):
-    """Z^n modulo the column span of `relations`, in canonical form.
+def cokernel_presentation(relations: IntMatrix):
+    """Z^n modulo the column span of `relations`, n its row count, in
+    canonical form.
 
     Returns (group, proj, sect, snf): proj is the (ngens x n) coordinate
     matrix of the projection Z^n -> group, sect is an (n x ngens) matrix
     whose columns are ambient representatives of the canonical generators,
     and snf is the (u, uinv, d, v) of relations they were read from.
     """
-    if relations.rows != n:
-        raise ValueError("relations live in the wrong ambient rank")
+    n = relations.rows
     if n == 0 or relations.cols == 0:  # an empty matrix is its own Smith form
         one, v = IntMatrix.identity(n), IntMatrix.identity(relations.cols)
         return FgGroup(n), one, one, (one, one, relations, v)
@@ -595,14 +595,15 @@ def cokernel_presentation(n: int, relations: IntMatrix):
     return group, proj, sect, snf
 
 
-def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
-    """(lattice spanned by gens) / (lattice spanned by rels) inside Z^n.
+def sublattice_quotient(gens: IntMatrix, rels: IntMatrix):
+    """(lattice spanned by gens) / (lattice spanned by rels) inside Z^n,
+    n the row count of gens.
 
     rels must be contained in the span of gens.  Returns (group, reps)
     where reps is an (n x ngens) matrix of ambient representatives of the
     canonical generators.
     """
-    u, uinv, d, _ = cokernel_presentation(n, gens)[3]
+    u, uinv, d, _ = cokernel_presentation(gens)[3]
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
     # coordinates of the relations in the lattice basis b_i = d_i * uinv[:, i]
@@ -612,8 +613,8 @@ def sublattice_quotient(n: int, gens: IntMatrix, rels: IntMatrix):
         if z is None:
             raise ValueError("relations do not lie in the generator lattice")
         rel_coords.append(z[:rank])
-    group, _, sect, _ = cokernel_presentation(rank, _from_columns(rel_coords, rank))
-    basis = IntMatrix._of(n, rank, tuple(tuple(map(mul, row[:rank], diag))
+    group, _, sect, _ = cokernel_presentation(_from_columns(rel_coords, rank))
+    basis = IntMatrix._of(gens.rows, rank, tuple(tuple(map(mul, row[:rank], diag))
                                          for row in uinv.entries))
     return group, basis @ sect
 
@@ -630,14 +631,14 @@ def _stacked(h: Hom) -> IntMatrix:
 
 def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
     """coker(h) = codomain / im(h), with the canonical surjection."""
-    group, proj, _, _ = cokernel_presentation(h.codomain.ngens, _stacked(h))
+    group, proj, _, _ = cokernel_presentation(_stacked(h))
     return group, Hom._of(h.codomain, group, proj)
 
 
 def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     """Lattice {x in Z^n_dom : h(x) = 0 in the codomain}, as columns."""
     na = h.domain.ngens
-    _, _, d, v = cokernel_presentation(h.codomain.ngens, _stacked(h))[3]
+    _, _, d, v = cokernel_presentation(_stacked(h))[3]
     rank = sum(1 for x in d.diagonal() if x != 0)
     free = IntMatrix._of(na, v.cols - rank, tuple(row[rank:] for row in v.entries[:na]))
     return free.hstack(h.domain.relations())  # relations: always in the kernel
@@ -646,16 +647,14 @@ def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
 @memo
 def kernel(h: Hom) -> tuple[FgGroup, Hom]:
     """ker(h) in canonical form with its embedding into the domain."""
-    na = h.domain.ngens
-    lattice = _preimage_of_zero_lattice(h)
-    group, reps = sublattice_quotient(na, lattice, h.domain.relations())
+    group, reps = sublattice_quotient(_preimage_of_zero_lattice(h),
+                                      h.domain.relations())
     return group, Hom._of(group, h.domain, reps)
 
 
 def image(h: Hom) -> tuple[FgGroup, Hom]:
     """im(h) in canonical form with its embedding into the codomain."""
-    group, reps = sublattice_quotient(h.codomain.ngens, _stacked(h),
-                                      h.codomain.relations())
+    group, reps = sublattice_quotient(_stacked(h), h.codomain.relations())
     return group, Hom(group, h.codomain, reps)
 
 
@@ -687,7 +686,7 @@ def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     """One x with h(x) = y, or None; deterministic canonical choice."""
     if y.group != h.codomain:
         raise HomError("target element is not in the codomain")
-    u, _, d, v = cokernel_presentation(h.codomain.ngens, _stacked(h))[3]
+    u, _, d, v = cokernel_presentation(_stacked(h))[3]
     return _canonical_preimage(h, d, v, u.vec(y.coords))
 
 
@@ -701,7 +700,7 @@ def section_matrix(h: Hom) -> IntMatrix:
     h.domain.element(section.vec(y.coords)) equals solve_hom(h, y) for
     every element y of the codomain.
     """
-    u, _, d, v = cokernel_presentation(h.codomain.ngens, _stacked(h))[3]
+    u, _, d, v = cokernel_presentation(_stacked(h))[3]
     xs = [_canonical_preimage(h, d, v, uy) for uy in u.columns()]
     if any(x is None for x in xs):
         raise HomError("not surjective: a codomain generator has no preimage")
@@ -736,7 +735,7 @@ def direct_sum(summands: Sequence[FgGroup]):
     offsets = [sum(g.ngens for g in summands[:i]) for i in range(len(summands))]
     rel_cols = [(0,) * off + col + (0,) * (n - off - g.ngens)  # block diagonal
                 for g, off in zip(summands, offsets) for col in g.relations().columns()]
-    group, proj, sect, _ = cokernel_presentation(n, _from_columns(rel_cols, n))
+    group, proj, sect, _ = cokernel_presentation(_from_columns(rel_cols, n))
     inclusions, projections = [], []
     for g, off in zip(summands, offsets):
         # summand g owns columns off.. of proj and rows off.. of sect

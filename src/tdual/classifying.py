@@ -54,25 +54,28 @@ class SelfTestError(RuntimeError):
 
 @dataclass(frozen=True)
 class ZAction:
-    """An integer-invertible automorphism, the deck action of a Z-quotient."""
+    """An integer-invertible automorphism of its domain, the deck action of
+    a Z-quotient."""
 
-    group: FgGroup
     automorphism: Hom
 
     def __post_init__(self):
-        if (self.automorphism.domain != self.group
-                or self.automorphism.codomain != self.group):
+        if self.automorphism.domain != self.automorphism.codomain:
             raise ValueError("automorphism must be an endomorphism of the group")
         if not is_isomorphism(self.automorphism):
             raise ValueError("deck action must be invertible over Z")
 
+    @property
+    def group(self) -> FgGroup:
+        return self.automorphism.domain
+
     @classmethod
     def from_matrix(cls, group: FgGroup, matrix: IntMatrix) -> "ZAction":
-        return cls(group, Hom(group, group, matrix))
+        return cls(Hom(group, group, matrix))
 
     @classmethod
     def trivial(cls, group: FgGroup) -> "ZAction":
-        return cls(group, Hom.identity(group))
+        return cls(Hom.identity(group))
 
     def shift(self) -> Hom:
         """theta - 1, the map whose kernel/cokernel we take."""
@@ -87,17 +90,14 @@ class ZAction:
 @dataclass(frozen=True)
 class MappingTorusData:
     cover: GradedCohomology
-    actions: dict          # degree -> ZAction; zero degrees may be omitted
+    actions: dict          # degree -> deck matrix; zero degrees may be omitted
     circle_class: str = "l"
 
     def action(self, k: int) -> ZAction:
         g = self.cover.group(k)
         if k in self.actions:
-            act = self.actions[k]
-            if act.group != g:
-                raise ValueError(f"degree-{k} action acts on the wrong group")
-            return act
-        if g.is_zero() or k < 0 or k > self.cover.max_degree:
+            return ZAction.from_matrix(g, self.actions[k])
+        if g.is_zero():
             return ZAction.trivial(g)
         raise ValueError(f"missing action data in degree {k}")
 
@@ -130,7 +130,6 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
             lambda j: f"inv[{n}.{j}]", split=False))
     table = GradedCohomology(
         label=f"torus({cover.label})",
-        max_degree=cover.max_degree,
         groups=tuple(d.group for d in degrees),
         names=tuple(d.names for d in degrees),
         cup_gens=None,
@@ -144,17 +143,15 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
 def r2_cohomology_computed() -> MappingTorusCohomology:
     cover = fixtures.r2_cover()
     return mapping_torus_cohomology(MappingTorusData(cover, {
-        0: ZAction.trivial(cover.group(0)),
-        2: ZAction.from_matrix(cover.group(2), fixtures.R2_PI2_ACTION),
+        0: IntMatrix.identity(1), 2: fixtures.R2_PI2_ACTION,
     }, circle_class="a"))
 
 
 def r32_cohomology_computed() -> MappingTorusCohomology:
     cover = fixtures.r32_cover()
     return mapping_torus_cohomology(MappingTorusData(cover, {
-        0: ZAction.trivial(cover.group(0)),
-        2: ZAction.from_matrix(cover.group(2), fixtures.R32_DEGREE2_ACTION),
-        4: ZAction.from_matrix(cover.group(4), fixtures.R32_DEGREE4_ACTION),
+        0: IntMatrix.identity(1), 2: fixtures.R32_DEGREE2_ACTION,
+        4: fixtures.R32_DEGREE4_ACTION,
     }, circle_class="l"))
 
 
@@ -176,13 +173,14 @@ class BundleTable:
         return self.tsc.group(k).generator(self.names[k].index(name))
 
 
-def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull, base):
+def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull):
     """Check the groups, the names, p! and p* against the reference.
 
     The engine's names translate into the reference's: p*(s) to the name
     that ref_pull maps to s, s.z to the one that ref_push maps to s, and
     p*(1) to 1.  Each degree must give ref_names in the engine's order.
     """
+    base = tsc.base
     engine = {PULLBACK.format(s): name for name, s in ref_pull.items()}
     engine.update({FIBER.format(s): name for name, s in ref_push.items() if s})
     engine[PULLBACK.format("1")] = "1"
@@ -223,10 +221,10 @@ def universal_bundle_tables() -> UniversalBundles:
         CircleBundle(r32, r32.named_element(2, "a1")), 3)
     e32 = _relabel_and_check(
         e32_tsc, fixtures.E32_GROUPS, fixtures.E32_NAMES,
-        fixtures.E32_PUSHFORWARD, fixtures.E32_PULLBACK_PREIMAGE, r32)
+        fixtures.E32_PUSHFORWARD, fixtures.E32_PULLBACK_PREIMAGE)
     hat_tsc = total_space_cohomology(
         CircleBundle(r32, r32.named_element(2, "a2")), 3)
     e32_hat = _relabel_and_check(
         hat_tsc, fixtures.E32_HAT_GROUPS, fixtures.E32_HAT_NAMES,
-        fixtures.E32_HAT_PUSHFORWARD, fixtures.E32_HAT_PULLBACK_PREIMAGE, r32)
+        fixtures.E32_HAT_PUSHFORWARD, fixtures.E32_HAT_PULLBACK_PREIMAGE)
     return UniversalBundles(e32=e32, e32_hat=e32_hat)

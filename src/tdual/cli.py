@@ -192,13 +192,12 @@ def _job_dualize(spec) -> dict:
         rep = dualize(Triple(tsc, b, flux))
     except BNotLiftableError as exc:
         return _report(spec, [FLAG_B_NOT_LIFTABLE], error=str(exc))
-    amb_group, amb_incl = rep.flux_ambiguity
     return _report(
         spec, sorted(rep.flags),
         source=_triple_json(rep.source), dual=_triple_json(rep.dual),
         flux_ambiguity={
-            "subgroup": report.group_json(amb_group),
-            "inclusion": report.matrix_json(amb_incl.matrix),
+            "subgroup": report.group_json(rep.flux_ambiguity.domain),
+            "inclusion": report.matrix_json(rep.flux_ambiguity.matrix),
         },
         cosets={
             "source": _coset_json(rep.source_coset),
@@ -237,7 +236,7 @@ def _job_coset_partition(spec) -> dict:
     gen = parse_class(spec.get("gen"), tsc.group(2), tsc.names(2), "gen")
     return _report(spec, [], h2=report.group_json(tsc.group(2)),
                    generators=list(tsc.names(2)),
-                   partition=_coset_json(coset_partition(tsc, gen)))
+                   partition=_coset_json(coset_partition(gen)))
 
 
 def _pinned_and_computed(pinned, computed) -> dict:

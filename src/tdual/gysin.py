@@ -146,18 +146,18 @@ class TotalSpaceCohomology:
         # degrees and the exactness audit; zero maps below degree 2
         self.cups: tuple[Hom, ...] = tuple(
             base.cup_by(self.euler, k - 2) for k in range(top + 2))
-        trivial = self.euler.is_zero()
         self.degrees: tuple[GysinDegree, ...] = tuple(
-            self._build_degree(k, trivial) for k in range(top + 1))
+            self._build_degree(k) for k in range(top + 1))
         self.report_table = None  # report.total_space_json's, on first use
 
-    def _build_degree(self, k: int, trivial: bool) -> GysinDegree:
+    def _build_degree(self, k: int) -> GysinDegree:
         base = self.base
         return split_degree(
             self.cups[k], self.cups[k + 1],
             [PULLBACK.format(s) for s in base.names[k]],
             [FIBER.format(s) for s in base.names[k - 1]] if k else [],
-            lambda j: f"p*[{k}.{j}]", lambda j: f"z[{k}.{j}]", split=trivial)
+            lambda j: f"p*[{k}.{j}]", lambda j: f"z[{k}.{j}]",
+            split=self.euler.is_zero())
 
     # -- accessors ---------------------------------------------------------
 

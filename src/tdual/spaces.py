@@ -1,10 +1,11 @@
 """Graded integral cohomology tables for the base-space catalog.
 
-A `GradedCohomology` holds the groups H^0..H^max_degree with named
-generators and, when ring data is available, the cup products with
-degree-two classes.  The ring is stored only through those cup maps: one
-matrix per degree-two generator and per degree, which is exactly the data
-the Gysin sequence consumes.
+A `GradedCohomology` holds the groups H^0..H^max_degree (max_degree is
+one less than the number of groups) with named generators and, when ring
+data is available, the cup products with degree-two classes.  The ring
+is stored only through those cup maps: one matrix per degree-two
+generator and per degree, which is exactly the data the Gysin sequence
+consumes.
 
 Catalog spaces: point, S^n, T^2, Sigma_g (orientable genus-g surface),
 RP^n, CP^2, and a degree-truncated K(Z,2); `_KINDS` states each kind's
@@ -14,7 +15,7 @@ respect to the listed generator order of each degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .abelian import (
@@ -35,17 +36,16 @@ from .abelian import (
 @dataclass(frozen=True)
 class GradedCohomology:
     label: str
-    max_degree: int
     groups: tuple  # FgGroup per degree 0..max_degree
     names: tuple   # tuple of generator-name tuples per degree
     # cup_gens[i][k]: matrix of cup with the i-th H^2 generator,
     # H^k -> H^(k+2); None marks missing ring data for that generator.
     cup_gens: Optional[tuple] = None
     simply_connected: Optional[bool] = None
+    max_degree: int = field(init=False)
 
     def __post_init__(self):
-        if len(self.groups) != self.max_degree + 1:
-            raise ValueError("one group per degree 0..max_degree required")
+        object.__setattr__(self, "max_degree", len(self.groups) - 1)
         if len(self.names) != len(self.groups):
             raise ValueError("one name tuple per degree required")
         for g, ns in zip(self.groups, self.names):
@@ -53,9 +53,11 @@ class GradedCohomology:
                 raise ValueError(f"{len(ns)} names for {g.ngens} generators")
 
     def group(self, k: int) -> FgGroup:
-        if k < 0 or k > self.max_degree:
-            return ZERO_GROUP
-        return self.groups[k]
+        """H^k: zero below degree 0, refused above the table's top."""
+        if k > self.max_degree:
+            raise ValueError(f"{self.label}: degree {k} is above the table's "
+                             f"top degree {self.max_degree}")
+        return self.groups[k] if k >= 0 else ZERO_GROUP
 
     def named_element(self, k: int, name: str) -> GroupElement:
         return self.group(k).generator(self.names[k].index(name))
@@ -66,7 +68,7 @@ class GradedCohomology:
             raise ValueError("cup class must live in H^2")
         src = self.group(k)
         dst = self.group(k + 2)
-        if k < 0 or k + 2 > self.max_degree:
+        if k < 0:
             return Hom.zero(src, dst)
         if self.cup_gens is None:
             raise ValueError(f"{self.label} carries no ring data")
@@ -102,7 +104,6 @@ def _build(label, max_degree, data, cup_entries=(), simply_connected=None):
         for i in range(n2))
     return GradedCohomology(
         label=label,
-        max_degree=max_degree,
         groups=groups,
         names=tuple(map(tuple, names)),
         cup_gens=table,

@@ -94,7 +94,7 @@ class CosetData:
 class DualityReport:
     source: Triple
     dual: Triple
-    flux_ambiguity: tuple               # (subgroup, inclusion into H^3(E#))
+    flux_ambiguity: Hom                 # im(q*) -> H^3(E#), its domain the subgroup
     source_coset: CosetData
     target_coset: CosetData
     coset_iso: Optional[Hom]
@@ -113,7 +113,7 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
 
     The half of H pulled back from the base is carried over through the
     base; the fiberwise half becomes the source Euler class.  Returns
-    (H#, (im(q*), inclusion)): what q!(H#) = e alone leaves open.
+    (H#, the inclusion of im(q*)): what q!(H#) = e alone leaves open.
     """
     # e cup e# = 0 since e# = p!(H) lies in the kernel of cup-e, so e
     # lies in ker(cup e#), the image of q!
@@ -122,20 +122,18 @@ def dual_flux(t: Triple, dual_total: TotalSpaceCohomology):
     if fiberwise is None:
         raise ExactnessBugError("source Euler class not in the image of q!")
     hdual = dd3.pullback(t.total.degrees[3].lift(t.flux)) + fiberwise
-    return hdual, (dd3.pullback_image.domain, dd3.pullback_image)
+    return hdual, dd3.pullback_image
 
 
-def coset_partition(tsc: TotalSpaceCohomology, gen: GroupElement,
+def coset_partition(gen: GroupElement,
                     representative: Optional[GroupElement] = None) -> CosetData:
-    """The partition of H^2(E) into cosets of <gen>.
+    """The partition of the group of gen, H^2(E), into cosets of <gen>.
 
     When the quotient is small enough it is enumerated: the result lists
     one canonical lift per coset as a reduced coordinate tuple.  Otherwise
     only the quotient form and the projection are returned.
     """
-    h2 = tsc.group(2)
-    if gen.group != h2:
-        raise ValueError("subgroup generator must lie in H^2 of the total space")
+    h2 = gen.group
     if representative is None:
         representative = h2.zero_element()
     quotient, proj = quotient_by(h2, [gen])
@@ -198,8 +196,8 @@ def dualize(t: Triple) -> DualityReport:
 
     gen_src = t.total.pullback(2)(e_dual)      # p* p!(H)
     gen_dst = dual_total.pullback(2)(e_src)    # q* q!(H#)
-    source_coset = coset_partition(t.total, gen_src, t.b)
-    target_coset = coset_partition(dual_total, gen_dst, b_dual)
+    source_coset = coset_partition(gen_src, t.b)
+    target_coset = coset_partition(gen_dst, b_dual)
     iso, natural = _coset_isomorphism(t, dual_total, source_coset, target_coset)
 
     flags = []

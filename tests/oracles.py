@@ -2,7 +2,8 @@
 
 Apart from the last nine sections, nothing in here uses the package's
 reduction algorithms.  Invariant factors come from determinantal divisors
-(gcds of k x k minors), determinants from fraction-free elimination, and
+(gcds of k x k minors), determinants from fraction-free elimination,
+Poincare duality is read off the invariant factors of each degree, and
 all group-level checks work by enumerating elements of finite groups.
 These are the reference implementations the fast code is tested against.
 The last nine sections use package code: the per-element solving path
@@ -293,6 +294,39 @@ def all_group_moduli_up_to(max_order):
 
 
 # ---------------------------------------------------------------------------
+# Poincare duality of a closed manifold, from its integral groups
+# ---------------------------------------------------------------------------
+
+def duality_defects(groups, dim, orientable):
+    """Where the integral cohomology H^0..H^dim of a closed dim-manifold
+    breaks Poincare duality, as a list of messages (empty if nowhere).
+
+    Every closed manifold: the F_2 Betti numbers are symmetric, b_k =
+    b_(dim-k).  By universal coefficients b_k = rank H^k + e_k + e_(k+1),
+    with e_k the number of even invariant factors of H^k.  An orientable
+    one: the ranks are symmetric, and the torsion of H^k is that of
+    H^(dim+1-k) (both are the torsion of H_(k-1)).  Torsion is compared
+    by invariant factors; no integer is factored.
+    """
+    if len(groups) != dim + 1:
+        raise ValueError(f"{len(groups)} groups for a {dim}-manifold")
+    evens = [sum(1 for d in g.torsion if d % 2 == 0) for g in groups] + [0]
+    betti = [g.free_rank + evens[k] + evens[k + 1] for k, g in enumerate(groups)]
+    defects = [f"F_2 Betti numbers {betti} are not symmetric"
+               ] if betti != betti[::-1] else []
+    if orientable:
+        ranks = [g.free_rank for g in groups]
+        if ranks != ranks[::-1]:
+            defects.append(f"ranks {ranks} are not symmetric")
+        defects.extend(
+            f"torsion of H^{k} {groups[k].torsion} is not that of "
+            f"H^{dim + 1 - k} {groups[dim + 1 - k].torsion}"
+            for k in range(1, dim // 2 + 1)
+            if groups[k].torsion != groups[dim + 1 - k].torsion)
+    return defects
+
+
+# ---------------------------------------------------------------------------
 # per-element preimages (one solve_hom, hence one Smith form, per element)
 # ---------------------------------------------------------------------------
 
@@ -486,7 +520,6 @@ def kunneth_with_circle(w: GradedCohomology) -> GradedCohomology:
 
     return GradedCohomology(
         label=f"{w.label}xS1",
-        max_degree=D,
         groups=tuple(groups),
         names=tuple(names),
         cup_gens=cup_table,

@@ -111,12 +111,21 @@ def _max_bits(*matrices):
 
 
 def _large_matrix(kind, n, bound):
-    """Dense n x n with entries in [-9, 9], or cup with a random Euler class
-    (coefficients in [-bound, bound]) from H^2 to H^4 of T^n."""
+    """Dense n x n with entries in [-9, 9], dense n x 2n (wide), the rank
+    n/2 product of dense n x n/2 and n/2 x n, or cup with a random Euler
+    class (coefficients in [-bound, bound]) from H^2 to H^4 of T^n."""
     rng = random.Random(100 * n + bound)
+
+    def dense(rows, cols):
+        return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(cols)]
+                                    for _ in range(rows)])
+
     if kind == "dense":
-        return IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)]
-                                    for _ in range(n)])
+        return dense(n, n)
+    if kind == "wide":
+        return dense(n, 2 * n)
+    if kind == "product":
+        return dense(n, n // 2) @ dense(n // 2, n)
     euler = {pq: rng.randint(-bound, bound)
              for pq in itertools.combinations(range(n), 2)}
     return IntMatrix.from_rows(oracles.torus_cup_matrix(n, euler))
@@ -124,12 +133,16 @@ def _large_matrix(kind, n, bound):
 
 @pytest.mark.parametrize("kind, n, bound", [
     *(("dense", n, 9) for n in range(10, 17)),
+    ("wide", 16, 9), ("wide", 24, 9), ("product", 24, 9),
     ("torus", 7, 1), ("torus", 7, 3), ("torus", 8, 1), ("torus", 8, 3)])
 def test_hermite_path_on_large_matrices(kind, n, bound):
     """Beyond the 9 x 9 of the random tests, on the bounded path alone and
     on the default one (greedy pivoting, then the Hermite passes from where
     it stopped): u m v = d with uinv the inverse of u, one d for both, and
-    small transforms (at most 265 bits alone and 190 by default here)."""
+    small transforms (at most 265 bits alone and 249 by default here).  A
+    finish that stops after one row Hermite pass and lets greedy pivoting
+    end the job passes the square cases but reaches 735 to 3,854 bits on
+    the wide and product ones."""
     m = _large_matrix(kind, n, bound)
     default = _snf_with_inverses(m)
     d = default[2]

@@ -67,9 +67,9 @@ def test_build_degree_is_the_only_per_degree_builder(monkeypatch):
     built, made = [], []
     build, degree = gysin.TotalSpaceCohomology._build_degree, gysin.GysinDegree
 
-    def counted_build(self, k, trivial):
+    def counted_build(self, k):
         built.append(k)
-        return build(self, k, trivial)
+        return build(self, k)
 
     def counted_degree(**fields):
         made.append(fields["group"])
@@ -91,8 +91,7 @@ def test_counted_values_keep_their_types():
     base = cohomology_of(parse_space("S2"), 4)
     tsc = gysin.total_space_cohomology(
         gysin.CircleBundle(base, base.group(2).zero_element()), 3)
-    part = tduality.coset_partition(
-        tsc, tsc.named_element(2, "p*(vol)").scale(300))
+    part = tduality.coset_partition(tsc.named_element(2, "p*(vol)").scale(300))
     assert len(part.representatives) == part.quotient.order() == 300
     doc = cli.run_job({"mode": "coset-partition", "base": "S2",
                        "euler": "0", "gen": "300*p*(vol)"})

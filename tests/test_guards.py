@@ -17,7 +17,6 @@ from tdual.abelian import (
     HomError,
     IntMatrix,
     ZERO_GROUP,
-    cokernel_presentation,
     sublattice_quotient,
 )
 from tdual.classifying import MappingTorusData, ZAction
@@ -51,14 +50,12 @@ M23 = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
     (lambda: FgGroup(2).reduce_coords([1]), "expected 2 coordinates"),
     (lambda: Z.element([1]) + Z2.element([1]), "different groups"),
     (lambda: Z.element([1]) - Z2.element([1]), "different groups"),
-    (lambda: cokernel_presentation(2, IntMatrix.from_rows([[1]])),
-     "ambient rank"),
-    (lambda: sublattice_quotient(1, IntMatrix.from_rows([[2]]),
+    (lambda: sublattice_quotient(IntMatrix.from_rows([[2]]),
                                  IntMatrix.from_rows([[1]])),
      "generator lattice"),
 ], ids=["from_rows-empty", "from_columns-length", "matmul", "vec", "hstack",
         "add", "reduce_coords", "add-elements", "sub-elements",
-        "presentation-rank", "sublattice-outside"])
+        "sublattice-outside"])
 def test_the_integer_layer_refuses_mismatched_shapes(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -88,22 +85,40 @@ def test_homs_refuse_what_does_not_fit(build, message):
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("groups, names, message", [
-    ((Z,), (("1",),), "one group per degree"),
     ((Z, Z), (("1",),), "one name tuple per degree"),
     ((Z, Z), (("1",), ()), "0 names for 1 generators"),
 ])
 def test_a_graded_table_checks_its_shape(groups, names, message):
     with pytest.raises(ValueError, match=message):
-        GradedCohomology("X", 1, groups, names)
+        GradedCohomology("X", groups, names)
 
 
 def test_cup_by_needs_a_class_in_h2_and_ring_data():
     t2 = cohomology_of(parse_space("T2"), 2)
     with pytest.raises(ValueError, match="H\\^2"):
         t2.cup_by(t2.named_element(1, "a"), 0)
-    bare = GradedCohomology("X", 2, (Z, ZERO_GROUP, Z), (("1",), (), ("x",)))
+    bare = GradedCohomology("X", (Z, ZERO_GROUP, Z), (("1",), (), ("x",)))
     with pytest.raises(ValueError, match="no ring data"):
         bare.cup_by(bare.named_element(2, "x"), 0)
+
+
+def test_base_tables_refuse_degrees_above_their_top():
+    # H^2(S2) = Z and H^4(CP2) = Z: a table that stops below them must not
+    # answer 0 there, nor hand out a zero cup map into them
+    s2 = cohomology_of(parse_space("S2"), 1)
+    for read in (s2.group, lambda k: s2.named_element(k, "vol")):
+        with pytest.raises(ValueError, match="degree 2 is above .* top degree 1"):
+            read(2)
+    cp2 = cohomology_of(parse_space("CP2"), 3)
+    a = cp2.named_element(2, "a")
+    with pytest.raises(ValueError, match="degree 4 is above .* top degree 3"):
+        cp2.group(4)
+    with pytest.raises(ValueError, match="degree 4 is above .* top degree 3"):
+        cp2.cup_by(a, 2)
+    # below degree 0 every group is 0, and so is every cup map out of it
+    assert cp2.group(-1) == ZERO_GROUP
+    assert cp2.cup_by(a, -1) == Hom.zero(ZERO_GROUP, cp2.group(1))
+    assert cp2.cup_by(a, 0).matrix == IntMatrix.from_rows([[1]])
 
 
 @pytest.mark.parametrize("max_degree", [-1, 13])
@@ -196,11 +211,12 @@ def test_dual_flux_refuses_the_total_space_of_another_bundle():
 
 def test_a_deck_action_must_be_an_endomorphism():
     with pytest.raises(ValueError, match="endomorphism"):
-        ZAction(Z, Hom.identity(Z2))
+        ZAction(Hom(Z, Z2, IntMatrix.from_rows([[1]])))
 
 
 def test_a_mapping_torus_action_must_act_on_its_degree():
+    # the degree-2 deck matrix acts on H^2(S2) = Z, so it must be 1 x 1
     cover = cohomology_of(parse_space("S2"), 2)
-    data = MappingTorusData(cover, {2: ZAction.trivial(Z2)})
-    with pytest.raises(ValueError, match="wrong group"):
+    data = MappingTorusData(cover, {2: IntMatrix.identity(2)})
+    with pytest.raises(HomError, match="matrix is \\(2, 2\\), expected \\(1, 1\\)"):
         data.action(2)

@@ -8,6 +8,7 @@ from tdual.gysin import (
 )
 from tdual.spaces import cohomology_of, parse_space
 
+from . import oracles
 from .oracles import kunneth_with_circle
 
 Z = FgGroup(1)
@@ -128,3 +129,65 @@ def test_degree_range_checks():
         total_space_cohomology(CircleBundle(base, e), 3)  # needs degree-4 data
     tsc = total_space_cohomology(CircleBundle(base, e))   # defaults to top = 2
     assert tsc.top == 2
+
+
+# ---------------------------------------------------------------------------
+# Poincare duality of the total spaces over the closed catalog bases
+# ---------------------------------------------------------------------------
+
+CLOSED_BASES = ([f"S{n}" for n in range(1, 9)] + ["T2"]
+                + [f"Sigma{g}" for g in range(2, 9)]
+                + [f"RP{n}" for n in range(2, 9)] + ["CP2"])
+
+
+def _duality_cases():
+    """Each closed base with its Euler classes: where H^2 = Z, 0, +-1..+-6
+    and two past 64 bits; over RP^n, 0 and a; elsewhere 0."""
+    for name in CLOSED_BASES:
+        h2 = cohomology_of(parse_space(name), 2).group(2)
+        if h2 == Z:
+            eulers = [(str(c), [c]) for c in range(-6, 7)]
+            eulers += [("2^64+1", [2 ** 64 + 1]), ("-3^50", [-3 ** 50])]
+        elif h2 == Z2:
+            eulers = [("0", [0]), ("a", [1])]
+        else:
+            eulers = [("0", [])]
+        for label, coords in eulers:
+            # ROADMAP item 9: over RP^odd with e = a, degree n of the total
+            # space is reported split (Z + Z/2, flagged AMBIGUOUS-EXTENSION)
+            # where the extension does not split (it is Z)
+            wrong = name in ("RP3", "RP5", "RP7") and label == "a"
+            marks = [pytest.mark.xfail(strict=True, reason=(
+                "RP^odd with e = a: the split top degree breaks duality"))]
+            yield pytest.param(name, coords, id=f"{name}-e={label}",
+                               marks=marks if wrong else [])
+
+
+@pytest.mark.parametrize("name, euler", _duality_cases())
+def test_total_spaces_of_closed_bases_satisfy_duality(name, euler):
+    """A circle bundle over a closed n-manifold is a closed (n+1)-manifold,
+    orientable iff the base is; solved to top n + 1, its groups must
+    satisfy Poincare duality, whatever the Gysin code does."""
+    space = parse_space(name)
+    dim = space.dimension() + 1
+    orientable = space.kind != "rp" or space.param % 2 == 1
+    tsc = bundle_over(name, euler, dim)
+    assert oracles.duality_defects(groups_of(tsc), dim, orientable) == []
+
+
+def test_the_duality_oracle_sees_changed_torsion_and_swapped_degrees():
+    # the bundle over CP2 with e = 4a: Z, 0, Z/4, 0, Z/4, Z
+    groups = groups_of(bundle_over("CP2", [4], 5))
+    assert groups[2] == groups[4] == FgGroup(0, (4,))
+    assert oracles.duality_defects(groups, 5, True) == []
+    changed = groups[:4] + [FgGroup(0, (8,))] + groups[5:]
+    assert oracles.duality_defects(changed, 5, True) == [
+        "torsion of H^2 (4,) is not that of H^4 (8,)"]
+    swapped = [groups[0], groups[2], groups[1]] + groups[3:]
+    assert oracles.duality_defects(swapped, 5, True)
+    # F_2 counts alone, as for a non-orientable manifold: Z/4 -> Z/3 in
+    # one degree drops b_4 and b_3; Z/4 -> Z/8 changes no F_2 count
+    odd = groups[:4] + [FgGroup(0, (3,))] + groups[5:]
+    assert oracles.duality_defects(odd, 5, False) == [
+        "F_2 Betti numbers [1, 1, 1, 0, 0, 1] are not symmetric"]
+    assert oracles.duality_defects(changed, 5, False) == []

@@ -100,7 +100,7 @@ def _questions(h, data):
     y = h.codomain.element([data.draw(st.integers(-9, 9))
                             for _ in range(h.codomain.ngens)])
     return [(kernel, (h,)),
-            (cokernel_presentation, (h.codomain.ngens, abelian._stacked(h))),
+            (cokernel_presentation, (abelian._stacked(h),)),
             (section_matrix, (proj,)),
             (solve_hom, (h, h(x))), (solve_hom, (h, y))]
 
@@ -216,7 +216,7 @@ def test_every_memo_stays_within_its_bound():
         ((parse_space(name), top) for name in CATALOG for top in (3, 4, 5)), n)
     questions = {
         kernel: [(h,) for h in scalings],
-        cokernel_presentation: [(1, h.matrix) for h in scalings],
+        cokernel_presentation: [(h.matrix,) for h in scalings],
         section_matrix: [(h,) for h in onto],
         solve_hom: [(scalings[0], Z.element([k])) for k in range(n)],
         cohomology_of: list(tables),

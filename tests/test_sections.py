@@ -207,17 +207,6 @@ def test_is_exact_at_matches_per_column_oracle(chain):
     assert is_exact_at(f, g) == oracles.exact_per_column(f, g)
 
 
-class _H2Only:
-    """Stand-in total space: coset_partition reads nothing but H^2."""
-
-    def __init__(self, h2):
-        self.h2 = h2
-
-    def group(self, k):
-        assert k == 2
-        return self.h2
-
-
 @settings(max_examples=200, deadline=None)
 @given(surjections())
 def test_section_matrix_matches_per_element_solves(h):
@@ -237,7 +226,7 @@ def test_coset_representatives_are_per_element_preimages(case):
     quotient, proj = quotient_by(ambient, [gen])
     want = oracles.per_element_preimages(proj, quotient.generators())
     assert section_matrix(proj).columns() == [x.coords for x in want]
-    part = coset_partition(_H2Only(ambient), gen)
+    part = coset_partition(gen)
     assert part.projection == proj
     if quotient.is_finite() and quotient.order() <= 64:
         want = oracles.per_element_preimages(
@@ -250,7 +239,7 @@ def test_coset_representatives_are_per_element_preimages(case):
     (FgGroup(0, (16, 16, 16)), (2, 4, 6)),   # quotient Z/2 + Z/16 + Z/16
 ])
 def test_coset_lifts_at_the_enumeration_cap_match_per_coset_lifts(ambient, gen):
-    part = coset_partition(_H2Only(ambient), ambient.element(gen))
+    part = coset_partition(ambient.element(gen))
     assert len(part.quotient.torsion) == 3
     assert part.quotient.order() == ENUMERATION_CAP
     assert part.representatives == oracles.coset_lifts(
@@ -325,7 +314,7 @@ def test_coset_partition_snf_calls_do_not_scale_with_cosets(snf_calls):
     counts = []
     for n in (8, 512):
         before = snf_calls[0]
-        part = coset_partition(tsc, tsc.named_element(2, "p*(vol)").scale(n))
+        part = coset_partition(tsc.named_element(2, "p*(vol)").scale(n))
         assert len(part.representatives) == n
         counts.append(snf_calls[0] - before)
     assert counts[0] == counts[1]
@@ -335,9 +324,9 @@ def test_enumeration_stops_at_the_cap():
     base = cohomology_of(parse_space("S2"), 4)
     tsc = total_space_cohomology(CircleBundle(base, base.group(2).zero_element()), 3)
     x = tsc.named_element(2, "p*(vol)")
-    assert len(coset_partition(tsc, x.scale(ENUMERATION_CAP)).representatives) \
+    assert len(coset_partition(x.scale(ENUMERATION_CAP)).representatives) \
         == ENUMERATION_CAP
-    over = coset_partition(tsc, x.scale(ENUMERATION_CAP + 1))
+    over = coset_partition(x.scale(ENUMERATION_CAP + 1))
     assert over.quotient.order() == ENUMERATION_CAP + 1
     assert over.representatives is None
 
@@ -351,7 +340,7 @@ def test_mixed_radix_lifts_match_per_element_preimages(coords):
     quotient, proj = quotient_by(ambient, [ambient.element(coords)])
     assert quotient.is_finite() and len(quotient.torsion) >= 2
     assert quotient.order() <= ENUMERATION_CAP
-    part = coset_partition(_H2Only(ambient), ambient.element(coords))
+    part = coset_partition(ambient.element(coords))
     want = oracles.per_element_preimages(proj, oracles.group_elements(quotient))
     assert part.representatives == tuple(x.coords for x in want)
 
@@ -374,9 +363,9 @@ def test_warm_dualize_job_builds_no_degree(snf_calls, monkeypatch):
     built = [0]
     original = TotalSpaceCohomology._build_degree
 
-    def counted(self, k, trivial):
+    def counted(self, k):
         built[0] += 1
-        return original(self, k, trivial)
+        return original(self, k)
 
     monkeypatch.setattr(TotalSpaceCohomology, "_build_degree", counted)
     job = {"mode": "dualize", "base": "S2", "euler": "2",

@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdual.abelian import FgGroup, Hom, ZERO_GROUP, is_isomorphism
+from tdual.abelian import FgGroup, Hom, ZERO_GROUP, is_isomorphism, solve_hom
 from tdual.classifying import universal_bundle_tables
 from tdual.cli import run_job
-from tdual.gysin import CircleBundle, total_space_cohomology
+from tdual.gysin import CircleBundle, exactness_audit, total_space_cohomology
 from tdual.spaces import cohomology_of, parse_space
 from tdual.tduality import (
     BNotLiftableError,
@@ -265,8 +267,8 @@ def test_dual_flux_ambiguity_subgroup():
     # over RP3 x S1 the dual flux is ambiguous exactly by im(q*) = Z
     t = trivial_triple("RP3", {"a.z": 1, "p*(vol)": 2}, top=4)
     rep = dualize(t)
-    amb_group, incl = rep.flux_ambiguity
-    assert amb_group == Z
+    incl = rep.flux_ambiguity
+    assert incl.domain == Z
     assert incl.codomain == rep.dual.total.group(3)
     hdual2, _ = dual_flux(t, rep.dual.total)
     assert hdual2 == rep.dual.flux  # deterministic canonical choice
@@ -280,7 +282,7 @@ def test_coset_partition_finite_quotient():
     p = 4
     t0 = trivial_triple("S2", {"vol.z": p})
     gen = t0.total.pullback(2)(t0.base.group(2).element([p]))
-    part = coset_partition(t0.total, gen)
+    part = coset_partition(gen)
     assert part.quotient == FgGroup(0, (p,))
     assert len(part.representatives) == p
     h2 = t0.total.group(2)
@@ -291,19 +293,19 @@ def test_coset_partition_finite_quotient():
 def test_coset_partition_infinite_quotient_described():
     t0 = trivial_triple("T2", {"vol.z": 3})
     gen = t0.total.pullback(2)(t0.base.group(2).element([3]))
-    part = coset_partition(t0.total, gen)
+    part = coset_partition(gen)
     assert part.quotient == FgGroup(2, (3,))
     assert part.representatives is None  # description only
 
     zero = t0.total.group(2).zero_element()
-    part0 = coset_partition(t0.total, zero)
+    part0 = coset_partition(zero)
     assert part0.quotient == t0.total.group(2)
 
 
 def test_coset_partition_on_z2():
     t0 = trivial_triple("RP2", {"a.z": 1})
     gen = t0.total.named_element(2, "p*(a)")
-    part = coset_partition(t0.total, gen)
+    part = coset_partition(gen)
     assert part.quotient == ZERO_GROUP
     assert len(part.representatives) == 1
 
@@ -426,3 +428,44 @@ def test_coset_witness_matches_the_route_through_the_base():
             natural += 1
             assert verify_coset_isomorphism(t, rep)
     assert natural > 0
+
+
+# ---------------------------------------------------------------------------
+# dualizing twice
+# ---------------------------------------------------------------------------
+
+@st.composite
+def catalog_triples(draw):
+    """A triple over a catalog base, at the top degree a job defaults to,
+    with the Euler class, b = p*(beta) and the flux drawn up to 2^80."""
+    space = parse_space(draw(st.sampled_from(CATALOG)))
+    dim = space.dimension()
+    top = 4 if dim is None else max(3, dim + 1)
+    base = cohomology_of(space, top + 1)
+
+    def draw_in(group):
+        return group.element(draw(st.lists(st.integers(-2 ** 80, 2 ** 80),
+                                           min_size=group.ngens,
+                                           max_size=group.ngens)))
+
+    total = total_space_cohomology(CircleBundle(base, draw_in(base.group(2))), top)
+    b = total.pullback(2)(draw_in(base.group(2)))
+    return Triple(total, b, draw_in(total.group(3)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(catalog_triples())
+def test_dualizing_twice_returns_the_triple(t):
+    """e## = e; H## - H lies in the flux ambiguity of the second transform
+    (and is 0: no catalog base has both H^1 and H^3, so p*(e# cup H^1(W))
+    vanishes); b## - b lies in <p* e#>, so b keeps its coset.  Both total
+    spaces pass the exactness audit and the coset witness verifies."""
+    rep = dualize(t)
+    back = dualize(rep.dual)
+    assert back.dual.euler == t.euler
+    moved = back.dual.flux - t.flux
+    assert solve_hom(back.flux_ambiguity, moved) is not None
+    assert moved.is_zero()
+    assert rep.source_coset.projection(back.dual.b - t.b).is_zero()
+    assert exactness_audit(t.total) and exactness_audit(rep.dual.total)
+    assert verify_coset_isomorphism(t, rep)

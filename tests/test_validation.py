@@ -207,7 +207,7 @@ def test_empty_presentation_equals_the_smith_form_path(shape):
     relations = IntMatrix.zeros(n, k)
     snf = u, uinv, d, _ = _snf_with_inverses(relations)
     assert d.diagonal() == []  # every row is free, kept in order
-    group, proj, sect, kept = cokernel_presentation(n, relations)
+    group, proj, sect, kept = cokernel_presentation(relations)
     assert (group, proj, sect) == (FgGroup(n), u, uinv)
     assert kept == snf  # what kernel, solve_hom and section_matrix read
     assert checked(proj, sect)
@@ -238,12 +238,13 @@ def test_empty_presentation_equals_the_smith_form_path(shape):
     lambda: quotient_by(FgGroup(2), [FgGroup(1).generator(0)]),
     lambda: quotient_by(FgGroup(1), [FgGroup(0, (2,)).generator(0)]),
     # above the integer layer, values from the wrong place: a triple below
-    # degree 3, b or the flux in the wrong degree, a coset generator
-    # outside H^2, an unknown report format
+    # degree 3, b or the flux in the wrong degree, a coset representative
+    # outside the generator's group, an unknown report format
     lambda: Triple(_s2_total(2), *_s2_classes(_s2_total(2), 2, 3)),
     lambda: Triple(_s2_total(3), *_s2_classes(_s2_total(3), 3, 3)),
     lambda: Triple(_s2_total(3), *_s2_classes(_s2_total(3), 2, 2)),
-    lambda: coset_partition(_s2_total(3), _s2_total(3).group(3).generator(0)),
+    lambda: coset_partition(_s2_total(3).group(2).generator(0),
+                            _s2_total(3).group(3).generator(0)),
     lambda: report.emit({}, "yaml"),
 ])
 def test_public_constructors_reject_non_integers(build):
