@@ -13,8 +13,9 @@ coordinates are always stored reduced.
 
 Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
 which keeps maps into and out of the zero group honest.  Values compare by
-value: kernel, cokernel_presentation, section_matrix, solve_hom are memos.
-Only cokernel_presentation factors a relation matrix; the other three read it.
+value: kernel, cokernel_presentation, section_matrix, solve_hom, direct_sum
+are memos.  Only cokernel_presentation factors a relation matrix; kernel,
+solve_hom and section_matrix read it.
 """
 
 from __future__ import annotations
@@ -435,6 +436,8 @@ class FgGroup:
         return self.element([0] * self.ngens)
 
     def generator(self, i: int) -> "GroupElement":
+        if not 0 <= i < self.ngens:
+            raise ValueError(f"{self.describe()} has no generator {i}")
         return self.element([1 if j == i else 0 for j in range(self.ngens)])
 
     def generators(self) -> list["GroupElement"]:
@@ -725,7 +728,8 @@ def hom_inverse(h: Hom) -> Hom:
 # sums, subgroups, quotients
 # ---------------------------------------------------------------------------
 
-def direct_sum(summands: Sequence[FgGroup]):
+@memo
+def direct_sum(summands: tuple[FgGroup, ...]):
     """Canonical direct sum with inclusion and projection homs.
 
     Returns (group, inclusions, projections).  The sum is re-canonicalized,
@@ -744,7 +748,7 @@ def direct_sum(summands: Sequence[FgGroup]):
         inclusions.append(Hom._of(g, group, cols))
         rows = IntMatrix._of(g.ngens, group.ngens, sect.entries[off:off + g.ngens])
         projections.append(Hom._of(group, g, rows))
-    return group, inclusions, projections
+    return group, tuple(inclusions), tuple(projections)
 
 
 def quotient_by(ambient: FgGroup,

@@ -125,9 +125,9 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
     for n in range(cover.max_degree + 1):
         degrees.append(split_degree(
             shifts[n], shifts[n + 1],
-            [circle if s == "1" else f"{s}{circle}" for s in names[n]],
-            names[n + 1], lambda j: f"{circle}[{n}.{j}]",
-            lambda j: f"inv[{n}.{j}]", split=False))
+            tuple(circle if s == "1" else f"{s}{circle}" for s in names[n]),
+            names[n + 1], f"{circle}[{n}.{{}}]", f"inv[{n}.{{}}]",
+            split=False))
     table = GradedCohomology(
         label=f"torus({cover.label})",
         groups=tuple(d.group for d in degrees),

@@ -41,6 +41,7 @@ from .abelian import (
     MEMO_SIZE as SOLVED_CACHE_SIZE,
     cokernel,
     cokernel_presentation,
+    direct_sum,
     is_exact_at,
     kernel,
     memo,
@@ -101,24 +102,25 @@ class GysinDegree:
         return None if x is None else self.into_ker(x)
 
 
+@memo
 def split_degree(f: Hom, g: Hom, coker_names, ker_names,
                  coker_synthetic, ker_synthetic, split: bool) -> GysinDegree:
     """One degree of a two-row sequence, coker(f) + ker(g) in split form.
 
-    coker_names are the names that f.codomain's generators pass on to the
-    cokernel, ker_names those that g.domain's pass on to the kernel; a
-    generator of either side that inherits none is named by that side's
-    synthetic(j) (see inherited_names).  Torsion in ker(g) under a
+    coker_names (a tuple) are the names f.codomain's generators pass on to
+    the cokernel, ker_names those g.domain's pass on to the kernel; a
+    generator that inherits none is named by its side's synthetic format
+    string, filled with j (see inherited_names).  Torsion in ker(g) under a
     nonzero coker(f) leaves the extension undetermined: the degree is
-    ambiguous unless `split`.
+    ambiguous unless `split`.  A memo, so names and formats are values.
     """
     ck, coker_proj = cokernel(f)
     kk, ker_incl = kernel(g)
     coker_sect = section_matrix(coker_proj)
     cnames = inherited_names(coker_sect.columns(), f.codomain.moduli,
-                             coker_names, coker_synthetic)
+                             coker_names, coker_synthetic.format)
     knames = inherited_names(ker_incl.matrix.columns(), g.domain.moduli,
-                             ker_names, ker_synthetic)
+                             ker_names, ker_synthetic.format)
     group, names, (into_coker, into_ker), (onto_coker, onto_ker) = sum_named(
         [(ck, cnames), (kk, knames)])
     return GysinDegree(
@@ -154,10 +156,9 @@ class TotalSpaceCohomology:
         base = self.base
         return split_degree(
             self.cups[k], self.cups[k + 1],
-            [PULLBACK.format(s) for s in base.names[k]],
-            [FIBER.format(s) for s in base.names[k - 1]] if k else [],
-            lambda j: f"p*[{k}.{j}]", lambda j: f"z[{k}.{j}]",
-            split=self.euler.is_zero())
+            tuple(PULLBACK.format(s) for s in base.names[k]),
+            tuple(FIBER.format(s) for s in base.names[k - 1]) if k else (),
+            f"p*[{k}.{{}}]", f"z[{k}.{{}}]", split=self.euler.is_zero())
 
     # -- accessors ---------------------------------------------------------
 
@@ -204,8 +205,9 @@ def total_space_cohomology(bundle: CircleBundle,
 
 
 def _clear_memos():
-    for cached in (_solved, cohomology_of, cokernel_presentation, kernel,
-                   section_matrix, solve_hom, group_json, matrix_json):
+    for cached in (_solved, split_degree, cohomology_of, cokernel_presentation,
+                   direct_sum, kernel, section_matrix, solve_hom, group_json,
+                   matrix_json):
         cached.cache_clear()
 
 

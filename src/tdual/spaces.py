@@ -60,6 +60,8 @@ class GradedCohomology:
         return self.groups[k] if k >= 0 else ZERO_GROUP
 
     def named_element(self, k: int, name: str) -> GroupElement:
+        if k < 0:
+            raise ValueError(f"{self.label}: degree {k} has no generators")
         return self.group(k).generator(self.names[k].index(name))
 
     def cup_by(self, e: GroupElement, k: int) -> Hom:
@@ -242,7 +244,7 @@ def sum_named(parts):
     projects to zero in all parts but one, and to a unit multiple of one
     named generator there; otherwise it gets the synthetic label u<i>.
     """
-    groups = [g for g, _ in parts]
+    groups = tuple(g for g, _ in parts)
     total, incls, projs = direct_sum(groups)
     rows = [row for p in projs for row in p.matrix.entries]
     names = inherited_names(

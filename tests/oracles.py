@@ -550,7 +550,7 @@ def sum_names_by_parts(parts):
     time: a generator that projects to zero in all parts but one, and to
     a unit multiple of one generator there, takes its name; any other
     generator i is u<i>."""
-    total, _, projs = direct_sum([g for g, _ in parts])
+    total, _, projs = direct_sum(tuple(g for g, _ in parts))
     columns = [p.matrix.columns() for p in projs]
     names = []
     for i in range(total.ngens):

@@ -393,7 +393,7 @@ def test_exactness_examples():
 # ---------------------------------------------------------------------------
 
 def test_direct_sum_recombines_torsion():
-    g, incls, projs = direct_sum([FgGroup(0, (2,)), FgGroup(0, (3,))])
+    g, incls, projs = direct_sum((FgGroup(0, (2,)), FgGroup(0, (3,))))
     assert g == FgGroup(0, (6,))
     for h, p in zip(incls, projs):
         assert oracles.is_injective(h)
@@ -401,7 +401,7 @@ def test_direct_sum_recombines_torsion():
 
 
 def test_direct_sum_roundtrip():
-    parts = [FgGroup(1, (2,)), FgGroup(2), FgGroup(0, (4,))]
+    parts = (FgGroup(1, (2,)), FgGroup(2), FgGroup(0, (4,)))
     g, incls, projs = direct_sum(parts)
     assert g == FgGroup(3, (2, 4))
     for part, h, p in zip(parts, incls, projs):

@@ -132,7 +132,7 @@ def check_table(tsc, printed, label):
             continue
         coker, ker = cokernel(tsc.cups[k])[0], kernel(tsc.cups[k + 1])[0]
         from tdual.abelian import direct_sum
-        split, _, _ = direct_sum([coker, ker])
+        split, _, _ = direct_sum((coker, ker))
         assert got == split, f"{label} degree {k}: split guess mismatch"
         assert extension_realizable(want, coker, ker), \
             f"{label} degree {k}: printed {want.describe()} is not an " \

@@ -5,8 +5,11 @@ IntMatrix.__post_init__ besides, and measures the matrices the Smith form
 returns; a renamed target would only show as a crash of a traced
 benchmark run, so it is checked here.  The tracer also relies on every
 module calling the one shared total_space_cohomology, and on each
-degree being built by TotalSpaceCohomology._build_degree, so that
-gysin.build_degree counts real builds and not cache hits.  It counts
+degree being asked for by TotalSpaceCohomology._build_degree, once per
+solved total space.  The answer comes from the split_degree memo, so
+gysin.build_degree counts degree requests, memo hits included: a total
+space the total_space_cohomology memo already holds asks for nothing,
+but a new one whose degrees an earlier one built counts them again.  It counts
 enumerated cosets as len(coset_partition(...).representatives) and
 report bytes as len(report.emit_json(doc)).  The coverage jobs count
 Smith forms by the code object of abelian._snf_with_inverses, so it must
@@ -64,6 +67,9 @@ def test_every_module_binds_the_shared_total_space_cohomology():
 
 
 def test_build_degree_is_the_only_per_degree_builder(monkeypatch):
+    """Every degree request goes through _build_degree, which the tracer
+    counts as gysin.build_degree: requests, split_degree memo hits
+    included, not GysinDegree builds."""
     built, made = [], []
     build, degree = gysin.TotalSpaceCohomology._build_degree, gysin.GysinDegree
 
@@ -85,6 +91,11 @@ def test_build_degree_is_the_only_per_degree_builder(monkeypatch):
     assert built == list(range(tsc.top + 1)) and len(made) == len(built)
     assert gysin.total_space_cohomology(bundle) is tsc
     assert len(built) == len(made) == tsc.top + 1
+    # a lower top asks for degrees the split_degree memo holds: each
+    # request counts, but no GysinDegree is made again
+    lower = gysin.total_space_cohomology(bundle, 3)
+    assert built[tsc.top + 1:] == [0, 1, 2, 3] and len(made) == tsc.top + 1
+    assert all(a is b for a, b in zip(lower.degrees, tsc.degrees))
 
 
 def test_counted_values_keep_their_types():

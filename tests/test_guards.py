@@ -121,6 +121,23 @@ def test_base_tables_refuse_degrees_above_their_top():
     assert cp2.cup_by(a, 0).matrix == IntMatrix.from_rows([[1]])
 
 
+@pytest.mark.parametrize("group, i", [
+    (FgGroup(1), 5), (FgGroup(2), -1), (FgGroup(2), 2), (ZERO_GROUP, 0),
+    (FgGroup(1, (2,)), -2)])
+def test_a_group_refuses_a_generator_it_does_not_have(group, i):
+    # -1 used to read as "no coordinate is 1": the zero element
+    with pytest.raises(ValueError, match=f"no generator {i}$"):
+        group.generator(i)
+
+
+def test_base_tables_refuse_names_below_degree_zero():
+    # names[-1] would index the top degree from the end: S3's "vol"
+    s3 = cohomology_of(parse_space("S3"), 3)
+    with pytest.raises(ValueError, match="degree -1 has no generators"):
+        s3.named_element(-1, "vol")
+    assert s3.named_element(3, "vol") == s3.group(3).generator(0)
+
+
 @pytest.mark.parametrize("max_degree", [-1, 13])
 def test_base_tables_stop_at_degree_twelve(max_degree):
     with pytest.raises(ValueError, match="max_degree"):

@@ -1,9 +1,9 @@
 """The memos on the pure group operations and on the base tables.
 
-kernel, cokernel_presentation, section_matrix, solve_hom,
-spaces.cohomology_of, the solved total spaces and the report nodes
-report.group_json and report.matrix_json each keep their MEMO_SIZE most
-recent answers, keyed by argument value; cokernel,
+kernel, cokernel_presentation, section_matrix, solve_hom, direct_sum,
+spaces.cohomology_of, gysin.split_degree, the solved total spaces and the
+report nodes report.group_json and report.matrix_json each keep their
+MEMO_SIZE most recent answers, keyed by argument value; cokernel,
 quotient_by, direct_sum and kernel share their presentations through
 cokernel_presentation, which also keeps the Smith form that kernel,
 solve_hom and section_matrix read.  A memo must answer as the plain
@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdual import abelian, gysin
+from tdual import abelian, classifying, gysin
 from tdual.abelian import (
     MEMO_SIZE,
     FgGroup,
@@ -46,7 +46,7 @@ from tdual.spaces import CatalogSpace, cohomology_of, parse_space
 
 from .test_naming import CATALOG
 from .test_sections import surjections
-from .test_validation import homs
+from .test_validation import groups, homs
 
 Z = FgGroup(1)
 
@@ -125,7 +125,8 @@ def test_one_bound_for_every_memo():
     assert SOLVED_CACHE_SIZE == MEMO_SIZE
     assert {m.__wrapped__ for m in _memos()} == {f.__wrapped__ for f in (
         kernel, cokernel_presentation, section_matrix, solve_hom,
-        cohomology_of, gysin._solved, group_json, matrix_json)}
+        cohomology_of, gysin._solved, group_json, matrix_json,
+        gysin.split_degree, direct_sum)}
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in _memos())
 
 
@@ -181,12 +182,70 @@ def test_a_repeated_question_shares_its_answer_and_factors_nothing(h, data):
 
 def test_equal_direct_sums_share_one_smith_form():
     total_space_cohomology.cache_clear()
-    summands = [FgGroup(0, (2,)), FgGroup(0, (4,))]
+    summands = (FgGroup(0, (2,)), FgGroup(0, (4,)))
     with counted_snf() as calls:
         first = direct_sum(summands)
-        again = direct_sum([_twin_group(g) for g in summands])
+        again = direct_sum(tuple(map(_twin_group, summands)))
     assert len(calls) == 1 and again == first
     assert first[0] == FgGroup(0, (2, 4))
+
+
+def _degree_questions() -> list:
+    """The split_degree calls, as (args, kwargs), that build every degree
+    of the catalog bundles with Euler class 0, g and -3g for each H^2
+    generator g, and of the two mapping tori."""
+    asked, original = [], gysin.split_degree
+
+    def asking(*args, **kwargs):
+        asked.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for owner in (gysin, classifying):
+            patch.setattr(owner, "split_degree", asking)
+        for name in CATALOG:
+            base = cohomology_of(parse_space(name), 5)
+            h2 = base.group(2)
+            for e in [h2.zero_element()] + [
+                    g.scale(c) for g in h2.generators() for c in (1, -3)]:
+                gysin.TotalSpaceCohomology(gysin.CircleBundle(base, e), 4)
+        classifying.r2_cohomology_computed()
+        classifying.r32_cohomology_computed()
+    return asked
+
+
+def _twin_degree_args(args) -> tuple:
+    return tuple(_twin(a) if isinstance(a, Hom) else a for a in args)
+
+
+def test_memoized_degrees_answer_as_the_plain_function():
+    total_space_cohomology.cache_clear()
+    for args, kwargs in _degree_questions():
+        assert gysin.split_degree(*args, **kwargs) == \
+            gysin.split_degree.__wrapped__(*_twin_degree_args(args), **kwargs)
+
+
+def test_a_repeated_degree_is_shared_and_factors_nothing():
+    total_space_cohomology.cache_clear()
+    asked = _degree_questions()
+    keys = {(args, tuple(kwargs.items())) for args, kwargs in asked}
+    assert len(keys) < len(asked)           # the catalog bundles share degrees
+    for args, kwargs in asked:
+        first = gysin.split_degree(*args, **kwargs)
+        with counted_snf() as calls:
+            again = gysin.split_degree(*_twin_degree_args(args), **kwargs)
+        assert again is first and not calls
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(groups(), max_size=4).map(tuple))
+def test_memoized_direct_sums_answer_as_the_plain_function_and_share(summands):
+    first = direct_sum(summands)
+    twins = tuple(map(_twin_group, summands))
+    assert first == direct_sum.__wrapped__(twins)
+    with counted_snf() as calls:
+        again = direct_sum(twins)
+    assert again is first and not calls
 
 
 @settings(max_examples=100, deadline=None)
@@ -222,6 +281,9 @@ def test_every_memo_stays_within_its_bound():
         cohomology_of: list(tables),
         group_json: [(FgGroup(k),) for k in range(n)],
         matrix_json: [(h.matrix,) for h in scalings],
+        gysin.split_degree: [(h, h, ("x",), ("y",), "p[{}]", "z[{}]", False)
+                             for h in scalings],
+        direct_sum: [((FgGroup(k),),) for k in range(n)],
     }
     for fn, calls in questions.items():
         assert len(set(calls)) == n

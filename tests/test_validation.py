@@ -135,7 +135,7 @@ def test_kernel_cokernel_image_and_section_are_checked_matrices(h):
 @given(st.lists(groups(), max_size=4))
 @example([FgGroup(0, (2,)), Z3])       # Z/2 + Z/3 = Z/6: entries to reduce
 def test_direct_sum_maps_are_checked_matrices(summands):
-    _, inclusions, projections = direct_sum(summands)
+    _, inclusions, projections = direct_sum(tuple(summands))
     assert all(map(oracles.is_checked_hom, inclusions + projections))
 
 
