@@ -161,44 +161,51 @@ _GREEDY_GROWTH_BITS = 1024
 _GREEDY_BITS_PER_LINE = 16
 
 
-def _hermite(a, width, t, tinv=None):
-    """Echelon form of the rows of a, in place: positive pivots,
-    nearest-integer elimination below each pivot and the entries above it
-    reduced modulo it.  Row operations also act on t, and their inverses on
-    tinv (stored transposed); a column pass hands in the transposes."""
-    mats = (a, t) if tinv is None else (a, t, tinv)
-
-    def sub(i, j, q):  # R_i -= q * R_j; in tinv R_j += q * R_i
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        t[i] = [x - q * y for x, y in zip(t[i], t[j])]
-        if tinv is not None:
-            tinv[j] = [x + q * y for x, y in zip(tinv[j], tinv[i])]
-
-    r = 0
+def _hermite(a, width, tinv=None):
+    """Echelon form of the first `width` columns of the rows of a, in
+    place: positive pivots, nearest-integer elimination below each pivot
+    and the entries above it reduced modulo it.  Each row carries its
+    transform row after column `width`, so one list operation moves both;
+    the inverse operations act on tinv (stored transposed).  A column pass
+    hands in the transposes."""
+    n, r = len(a), 0
+    mats = (a,) if tinv is None else (a, tinv)
     for c in range(width):
-        if r == len(a):
+        if r == n:
             return
-        while True:
-            nz = [i for i in range(r, len(a)) if a[i][c]]
-            if not nz:
-                break
-            k = min(nz, key=lambda i: abs(a[i][c]))
-            for x in mats:
-                x[r], x[k] = x[k], x[r]
-            if len(nz) == 1:
-                break
-            p = a[r][c]
-            for i in range(r + 1, len(a)):
-                if a[i][c]:
-                    sub(i, r, (2 * a[i][c] + p) // (2 * p))
-        if not a[r][c]:
+        col = [row[c] for row in a[r:]]  # column c of rows r.., kept in step
+        while any(col[1:]):  # a Euclid round: pivot on the first least entry
+            mags = list(map(abs, col))
+            k = mags.index(min(filter(None, mags)))
+            if k:
+                for x in mats:
+                    x[r], x[r + k] = x[r + k], x[r]
+                col[0], col[k] = col[k], col[0]
+            p, pr = col[0], a[r]
+            acc = None if tinv is None else tinv[r]  # R_i -= q R_r: R_r += q R_i
+            for i, x in enumerate(col[1:], 1):
+                if x:
+                    q = (2 * x + p) // (2 * p)
+                    a[r + i] = [y - q * z for y, z in zip(a[r + i], pr)]
+                    col[i] = x - q * p
+                    if acc is not None:
+                        acc = [y + q * z for y, z in zip(acc, tinv[r + i])]
+            if acc is not None:
+                tinv[r] = acc
+        if not col[0]:
             continue
-        if a[r][c] < 0:
+        if col[0] < 0:
             for x in mats:
                 x[r] = [-y for y in x[r]]
-        for i in range(r):
-            if a[i][c] // a[r][c]:
-                sub(i, r, a[i][c] // a[r][c])
+        p, pr = abs(col[0]), a[r]
+        acc = None if tinv is None else tinv[r]
+        for i, q in enumerate([row[c] // p for row in a[:r]]):
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], pr)]
+                if acc is not None:
+                    acc = [x + q * y for x, y in zip(acc, tinv[i])]
+        if acc is not None:
+            tinv[r] = acc
         r += 1
 
 
@@ -213,30 +220,31 @@ def _snf_with_inverses(m: IntMatrix):
     """
     rows, cols = m.shape
     budget = min(_GREEDY_GROWTH_BITS, _GREEDY_BITS_PER_LINE * (rows + cols))
-    a = [list(row) for row in m.entries]
-    # uinv and v are stored transposed: their columns are the lists
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    uinv = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
+    # each row of a carries its row of u after column `cols`, so one list
+    # operation moves both; uinv and v are stored transposed
+    uinv = [[0] * i + [1] + [0] * (rows - 1 - i) for i in range(rows)]
+    v = [[0] * i + [1] + [0] * (cols - 1 - i) for i in range(cols)]
+    a = [list(row) + e for row, e in zip(m.entries, uinv)]
     grown = 0
 
     def row_sub(i, j, q):  # R_i -= q * R_j; in uinv C_j += q * C_i
         nonlocal grown
         grown += q.bit_length() + 1
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-        uinv[j] = [x + q * y for x, y in zip(uinv[j], uinv[i])]
+        if q:
+            a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+            uinv[j] = [x + q * y for x, y in zip(uinv[j], uinv[i])]
 
-    def col_sub(j, i, q):  # C_j -= q * C_i
+    def col_sub(j, i, q, among=None):  # C_j -= q * C_i
         nonlocal grown
         grown += q.bit_length() + 1
-        for row in a:
-            row[j] -= q * row[i]
-        v[j] = [x - q * y for x, y in zip(v[j], v[i])]
+        if q:
+            for row in a if among is None else among:  # C_i is 0 off `among`
+                row[j] -= q * row[i]
+            v[j] = [x - q * y for x, y in zip(v[j], v[i])]
 
     def row_swap(i, j):
         if i != j:
-            for x in (a, u, uinv):
+            for x in (a, uinv):
                 x[i], x[j] = x[j], x[i]
 
     def col_swap(i, j):
@@ -246,14 +254,16 @@ def _snf_with_inverses(m: IntMatrix):
             v[i], v[j] = v[j], v[i]
 
     def greedy():
-        """Pivot on the smallest entry left; False once past the budget."""
+        """Pivot on the first smallest entry left; False past the budget."""
         for t in range(min(rows, cols)):
-            pivot = None
+            pivot, least = None, 0
             for i in range(t, rows):
+                row = a[i]
                 for j in range(t, cols):
-                    if a[i][j] != 0 and (pivot is None
-                                         or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
+                    if row[j] and (not least or abs(row[j]) < least):
+                        pivot, least = (i, j), abs(row[j])
+                if least == 1:  # nothing later is smaller
+                    break
             if pivot is None:
                 return True
             row_swap(t, pivot[0])
@@ -264,31 +274,26 @@ def _snf_with_inverses(m: IntMatrix):
                 moved = False
                 for i in range(rows):
                     if i != t and a[i][t] != 0:
-                        q = a[i][t] // a[t][t]
-                        row_sub(i, t, q)
+                        row_sub(i, t, a[i][t] // a[t][t])
                         if a[i][t] != 0:
                             row_swap(i, t)
                             moved = True
                 if moved:
                     continue
-                for j in range(cols):
+                for j in range(cols):  # column t is zero off row t until a swap
                     if j != t and a[t][j] != 0:
-                        q = a[t][j] // a[t][t]
-                        col_sub(j, t, q)
+                        col_sub(j, t, a[t][j] // a[t][t], None if moved else (a[t],))
                         if a[t][j] != 0:
                             col_swap(j, t)
                             moved = True
                 if moved:
                     continue
-                # row and column are clear; force pivot | rest of the submatrix
-                offender = None
-                for i in range(t + 1, rows):
-                    for j in range(t + 1, cols):
-                        if a[i][j] % a[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
+                # row and column are clear; force pivot | rest of the
+                # submatrix, unless it is empty or the pivot a unit
+                p = a[t][t]
+                offender = None if p in (1, -1) or t + 1 >= min(rows, cols) else next(
+                    (i for i in range(t + 1, rows)
+                     if any(x % p for x in a[i][t + 1:cols])), None)
                 if offender is None:
                     break
                 row_sub(t, offender, -1)  # R_t += R_offender, then keep reducing
@@ -299,11 +304,12 @@ def _snf_with_inverses(m: IntMatrix):
         while lines == 0 or any(
                 a[i][j] for i in range(rows) for j in range(cols) if i != j):
             if lines % 2 == 0:
-                _hermite(a, cols, u, uinv)
-            else:
-                a = [list(col) for col in zip(*a)]
-                _hermite(a, rows, v)
-                a = [list(row) for row in zip(*a)]
+                _hermite(a, cols, uinv)
+            else:  # each column of a carries its column of v
+                at = [list(col) + vj for col, vj in zip(zip(*a), v)]
+                _hermite(at, rows)
+                v = [row[rows:] for row in at]
+                a = [list(row) + fused[cols:] for row, fused in zip(zip(*at), a)]
             lines += 1
         # a diagonal echelon form keeps its zeros last; make it a chain
         rank = sum(1 for i in range(min(rows, cols)) if a[i][i])
@@ -318,12 +324,12 @@ def _snf_with_inverses(m: IntMatrix):
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
-            for x in (a, u, uinv):
+            for x in (a, uinv):
                 x[i] = [-y for y in x[i]]
 
-    return (IntMatrix._of(rows, rows, tuple(map(tuple, u))),
+    return (IntMatrix._of(rows, rows, tuple([tuple(row[cols:]) for row in a])),
             IntMatrix._of(rows, rows, tuple(zip(*uinv))),
-            IntMatrix._of(rows, cols, tuple(map(tuple, a))),
+            IntMatrix._of(rows, cols, tuple([tuple(row[:cols]) for row in a])),
             IntMatrix._of(cols, cols, tuple(zip(*v))))
 
 
@@ -436,6 +442,8 @@ class FgGroup:
         return self.element([0] * self.ngens)
 
     def generator(self, i: int) -> "GroupElement":
+        if type(i) is not int:
+            raise ValueError(f"generator index must be an integer, got {i!r}")
         if not 0 <= i < self.ngens:
             raise ValueError(f"{self.describe()} has no generator {i}")
         return self.element([1 if j == i else 0 for j in range(self.ngens)])
@@ -492,6 +500,8 @@ class GroupElement:
         return self + (-other)
 
     def scale(self, n: int) -> "GroupElement":
+        if type(n) is not int:
+            raise ValueError(f"scale factor must be an integer, got {n!r}")
         return self.group.element([n * a for a in self.coords])
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import prod
@@ -105,6 +106,99 @@ def test_hermite_path_gives_the_smith_form(rows, cols, data):
     assert d == smith_normal_form(m)[1]
 
 
+def _snf_corpus():
+    """Seeded Smith-form inputs: dense 8 x 8 and 9 x 9 with entries in
+    [-9, 9], cup matrices of T^5 and T^6 with Euler coefficients in
+    [-1, 1], and sparse rectangles from 0 x 0 to 10 x 10."""
+    rng = random.Random(28)
+    for n, count in ((8, 120), (9, 30)):
+        for _ in range(count):
+            yield IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)]
+                                       for _ in range(n)])
+    for n in (5,) * 6 + (6,) * 6:
+        euler = {pq: rng.randint(-1, 1) for pq in itertools.combinations(range(n), 2)}
+        yield IntMatrix.from_rows(oracles.torus_cup_matrix(n, euler))
+    for _ in range(600):
+        rows, cols, density = rng.randint(0, 10), rng.randint(0, 10), rng.random()
+        yield IntMatrix.from_rows([[rng.randint(-9, 9) if rng.random() < density else 0
+                                    for _ in range(cols)] for _ in range(rows)], cols)
+
+
+@pytest.mark.parametrize("path, digest", [
+    (_snf_with_inverses,
+     "1fa6fd6858298942a5ca3002208fe67f35b866c50044d140c64de06d98c46635"),
+    (hermite_only,
+     "d22bd8751643a0bfbbcc9c54c3a4e97a0707bafd2e970454925822c88dbd1650"),
+], ids=["default", "hermite-only"])
+def test_smith_forms_keep_their_recorded_bits(path, digest):
+    """Every (u, uinv, d, v) of the corpus, hashed: a faster elimination
+    must take the same steps, since reports are built from the transforms.
+    The digests were recorded before the rows of u rode along with the
+    rows of the matrix in one list."""
+    h = hashlib.sha256()
+    for m in _snf_corpus():
+        h.update(repr([(x.rows, x.cols, x.entries) for x in path(m)]).encode())
+    assert h.hexdigest() == digest
+
+
+@st.composite
+def disguised_smith_forms(draw):
+    """(m, its invariant factors): m = P [S 0; 0 B] Q, padded with zeros
+    to at most 12 x 12.  S is a diagonal of +-1 pivots; the core B = C E
+    has at most 5 rows and columns, entries up to 2^80 and rank at most
+    the inner size of C E; P and Q are products of random row operations
+    and swaps.  Unimodular P and Q keep the invariant factors of the block
+    matrix, which the oracle reads off the small core."""
+    def down(n):  # n or less, n first
+        return n - draw(st.integers(0, n))
+
+    units, k, l = down(7), down(5), down(5)
+    inner = down(min(k, l))
+    rows = units + k + draw(st.integers(0, 12 - units - k))
+    cols = units + l + draw(st.integers(0, 12 - units - l))
+    c = IntMatrix.from_rows([[draw(st.integers(-9, 9)) for _ in range(inner)]
+                             for _ in range(k)], inner)
+    big = st.integers(-9, 9) | st.integers(2**70, 2**80) | st.integers(-2**80, -2**70)
+    e = IntMatrix.from_rows([[draw(big) for _ in range(l)] for _ in range(inner)], l)
+    core = (c @ e).entries
+    block = [[0] * cols for _ in range(rows)]
+    for i in range(units):
+        block[i][i] = draw(st.sampled_from([1, -1]))
+    for i, row in enumerate(core):
+        block[units + i][units:units + l] = row
+
+    def unimodular(n):  # random row operations and swaps on the identity
+        lines = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 2 * n))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            q = draw(st.integers(-3, 3))
+            if i != j and q:
+                lines[i] = [x + q * y for x, y in zip(lines[i], lines[j])]
+            elif i != j:
+                lines[i], lines[j] = lines[j], lines[i]
+        return IntMatrix.from_rows(lines, n)
+
+    m = unimodular(rows) @ IntMatrix.from_rows(block, cols) @ unimodular(cols)
+    factors = [1] * units + (oracles.invariant_factors_oracle(core) if k and l else [])
+    return m, factors + [0] * (min(rows, cols) - len(factors))
+
+
+@settings(max_examples=100, deadline=None)
+@given(disguised_smith_forms())
+def test_smith_forms_of_large_entries_on_both_paths(case):
+    """Up to 12 x 12 with entries past 2^80, rank-deficient draws and unit
+    pivots, on the default path and on the Hermite passes alone: u m v = d,
+    uinv the inverse of u, v unimodular, and d the oracle's invariant
+    factors on its diagonal."""
+    m, factors = case
+    expected = IntMatrix.from_rows([[factors[i] if i == j else 0 for j in range(m.cols)]
+                                    for i in range(m.rows)], m.cols)
+    for u, uinv, d, v in (_snf_with_inverses(m), hermite_only(m)):
+        assert u @ m @ v == d == expected
+        assert u @ uinv == IntMatrix.identity(m.rows)
+        assert abs(determinant(v)) == 1
+
+
 def _max_bits(*matrices):
     return max([abs(x).bit_length() for m in matrices for row in m.entries
                 for x in row] or [0])
@@ -159,19 +253,24 @@ def test_hermite_passes_finish_from_where_greedy_stopped(monkeypatch):
     """Past its budget greedy pivoting hands the partly reduced matrix to
     the Hermite passes, with the transforms built so far: the first pass
     starts from elimination steps already taken, not from the input or a
-    permutation of it."""
+    permutation of it, and the row of u each row carries is no longer a
+    unit row."""
     m = _large_matrix("dense", 10, 9)
     entered = []
     hermite = abelian._hermite
 
-    def recording(a, width, t, tinv=None):
-        entered.append(sorted(x for row in a for x in row))
-        return hermite(a, width, t, tinv)
+    def recording(a, width, tinv=None):
+        entered.append((sorted(x for row in a for x in row[:width]),
+                        [row[width:] for row in a]))
+        return hermite(a, width, tinv)
 
     monkeypatch.setattr(abelian, "_hermite", recording)
     u, uinv, d, v = _snf_with_inverses(m)
     assert u @ m @ v == d and u @ uinv == IntMatrix.identity(m.rows)
-    assert entered and entered[0] != sorted(x for row in m.entries for x in row)
+    assert entered
+    matrix, carried = entered[0]
+    assert matrix != sorted(x for row in m.entries for x in row)
+    assert any(sorted(map(abs, row)) != [0] * (m.rows - 1) + [1] for row in carried)
 
 
 def test_runaway_greedy_elimination_switches_to_hermite():
@@ -234,9 +333,9 @@ def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
     fallbacks = []
     hermite = abelian._hermite
 
-    def counting(a, width, t, tinv=None):
+    def counting(a, width, tinv=None):
         fallbacks.append((len(a), width))
-        return hermite(a, width, t, tinv)
+        return hermite(a, width, tinv)
 
     monkeypatch.setattr(abelian, "_GREEDY_BITS_PER_LINE",
                         abelian._GREEDY_BITS_PER_LINE / 3)

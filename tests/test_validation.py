@@ -252,6 +252,20 @@ def test_public_constructors_reject_non_integers(build):
         build()
 
 
+@pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "1"])
+def test_generator_and_scale_name_the_argument_they_refuse(bad):
+    """A bool is an int to Python, but no index or factor here: generator
+    and scale refuse every non-int, as IntMatrix.scale does, in a message
+    that names the argument rather than the coordinates it would make."""
+    g = FgGroup(1, (4,))
+    with pytest.raises(ValueError, match="generator index must be an integer"):
+        g.generator(bad)
+    with pytest.raises(ValueError, match="scale factor must be an integer"):
+        g.generator(1).scale(bad)
+    with pytest.raises(ValueError, match="scale factor must be an integer"):
+        IntMatrix.identity(2).scale(bad)
+
+
 def _s2_total(top):
     """The lens space over S2 with Euler class 2: H^2 = Z/2, H^3 = Z."""
     base = cohomology_of(parse_space("S2"), top + 1)
