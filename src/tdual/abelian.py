@@ -15,7 +15,8 @@ Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
 which keeps maps into and out of the zero group honest.  Values compare by
 value: kernel, cokernel_presentation, section_matrix, solve_hom, direct_sum
 are memos.  Only cokernel_presentation factors a relation matrix; kernel,
-solve_hom and section_matrix read it.
+solve_hom and section_matrix read it.  u^-1 is derived from u, by one
+Hermite pass, only where a section is read: direct_sum and sublattice_quotient.
 """
 
 from __future__ import annotations
@@ -161,15 +162,13 @@ _GREEDY_GROWTH_BITS = 1024
 _GREEDY_BITS_PER_LINE = 16
 
 
-def _hermite(a, width, tinv=None):
+def _hermite(a, width):
     """Echelon form of the first `width` columns of the rows of a, in
     place: positive pivots, nearest-integer elimination below each pivot
     and the entries above it reduced modulo it.  Each row carries its
-    transform row after column `width`, so one list operation moves both;
-    the inverse operations act on tinv (stored transposed).  A column pass
-    hands in the transposes."""
+    transform row after column `width`, so one list operation moves both.
+    A column pass hands in the transposes."""
     n, r = len(a), 0
-    mats = (a,) if tinv is None else (a, tinv)
     for c in range(width):
         if r == n:
             return
@@ -178,61 +177,57 @@ def _hermite(a, width, tinv=None):
             mags = list(map(abs, col))
             k = mags.index(min(filter(None, mags)))
             if k:
-                for x in mats:
-                    x[r], x[r + k] = x[r + k], x[r]
+                a[r], a[r + k] = a[r + k], a[r]
                 col[0], col[k] = col[k], col[0]
             p, pr = col[0], a[r]
-            acc = None if tinv is None else tinv[r]  # R_i -= q R_r: R_r += q R_i
             for i, x in enumerate(col[1:], 1):
                 if x:
                     q = (2 * x + p) // (2 * p)
                     a[r + i] = [y - q * z for y, z in zip(a[r + i], pr)]
                     col[i] = x - q * p
-                    if acc is not None:
-                        acc = [y + q * z for y, z in zip(acc, tinv[r + i])]
-            if acc is not None:
-                tinv[r] = acc
         if not col[0]:
             continue
         if col[0] < 0:
-            for x in mats:
-                x[r] = [-y for y in x[r]]
+            a[r] = [-y for y in a[r]]
         p, pr = abs(col[0]), a[r]
-        acc = None if tinv is None else tinv[r]
         for i, q in enumerate([row[c] // p for row in a[:r]]):
             if q:
                 a[i] = [x - q * y for x, y in zip(a[i], pr)]
-                if acc is not None:
-                    acc = [x + q * y for x, y in zip(acc, tinv[i])]
-        if acc is not None:
-            tinv[r] = acc
         r += 1
 
 
-def _snf_with_inverses(m: IntMatrix):
-    """Smith normal form with the change-of-basis matrices callers read.
+def _inverse(u: IntMatrix) -> IntMatrix:
+    """u^-1 of a unimodular u: the Hermite form of [u | I] is [I | u^-1]."""
+    n = u.rows
+    a = [list(row) for row in u.hstack(IntMatrix.identity(n)).entries]
+    _hermite(a, n)
+    return IntMatrix._of(n, n, tuple([tuple(row[n:]) for row in a]))
 
-    Returns (u, uinv, d, v) with u*m*v = d; u, v unimodular and uinv the
-    exact inverse of u.  d is diagonal, nonnegative, and its diagonal
-    forms a divisibility chain (zeros trailing).  Greedy pivoting runs
-    first; past its budget, alternating row and column Hermite forms
-    (Kannan and Bachem) and gcd/lcm steps finish from where it stopped.
+
+def _snf_with_inverses(m: IntMatrix):
+    """Smith normal form (u, d, v) with u*m*v = d; u, v unimodular.
+
+    d is diagonal, nonnegative, and its diagonal forms a divisibility
+    chain (zeros trailing).  Greedy pivoting runs first; past its budget,
+    alternating row and column Hermite forms (Kannan and Bachem) and
+    gcd/lcm steps finish from where it stopped.  u^-1 is not tracked; the
+    callers that read it take _inverse(u).  The benchmark's tracer counts
+    Smith forms by this function's name, so the name stays.
     """
     rows, cols = m.shape
     budget = min(_GREEDY_GROWTH_BITS, _GREEDY_BITS_PER_LINE * (rows + cols))
     # each row of a carries its row of u after column `cols`, so one list
-    # operation moves both; uinv and v are stored transposed
-    uinv = [[0] * i + [1] + [0] * (rows - 1 - i) for i in range(rows)]
+    # operation moves both; v is stored transposed
     v = [[0] * i + [1] + [0] * (cols - 1 - i) for i in range(cols)]
-    a = [list(row) + e for row, e in zip(m.entries, uinv)]
+    a = [list(row) + [0] * i + [1] + [0] * (rows - 1 - i)
+         for i, row in enumerate(m.entries)]
     grown = 0
 
-    def row_sub(i, j, q):  # R_i -= q * R_j; in uinv C_j += q * C_i
+    def row_sub(i, j, q):  # R_i -= q * R_j
         nonlocal grown
         grown += q.bit_length() + 1
         if q:
             a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-            uinv[j] = [x + q * y for x, y in zip(uinv[j], uinv[i])]
 
     def col_sub(j, i, q, among=None):  # C_j -= q * C_i
         nonlocal grown
@@ -244,8 +239,7 @@ def _snf_with_inverses(m: IntMatrix):
 
     def row_swap(i, j):
         if i != j:
-            for x in (a, uinv):
-                x[i], x[j] = x[j], x[i]
+            a[i], a[j] = a[j], a[i]
 
     def col_swap(i, j):
         if i != j:
@@ -304,7 +298,7 @@ def _snf_with_inverses(m: IntMatrix):
         while lines == 0 or any(
                 a[i][j] for i in range(rows) for j in range(cols) if i != j):
             if lines % 2 == 0:
-                _hermite(a, cols, uinv)
+                _hermite(a, cols)
             else:  # each column of a carries its column of v
                 at = [list(col) + vj for col, vj in zip(zip(*a), v)]
                 _hermite(at, rows)
@@ -324,11 +318,9 @@ def _snf_with_inverses(m: IntMatrix):
 
     for i in range(min(rows, cols)):
         if a[i][i] < 0:
-            for x in (a, uinv):
-                x[i] = [-y for y in x[i]]
+            a[i] = [-y for y in a[i]]
 
     return (IntMatrix._of(rows, rows, tuple([tuple(row[cols:]) for row in a])),
-            IntMatrix._of(rows, rows, tuple(zip(*uinv))),
             IntMatrix._of(rows, cols, tuple([tuple(row[:cols]) for row in a])),
             IntMatrix._of(cols, cols, tuple(zip(*v))))
 
@@ -344,8 +336,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     >>> d.diagonal()
     [2, 4]
     """
-    u, _, d, v = _snf_with_inverses(m)
-    return u, d, v
+    return _snf_with_inverses(m)
 
 
 def _from_columns(cols: Sequence[Sequence[int]], rows: int) -> IntMatrix:
@@ -587,25 +578,32 @@ def cokernel_presentation(relations: IntMatrix):
     """Z^n modulo the column span of `relations`, n its row count, in
     canonical form.
 
-    Returns (group, proj, sect, snf): proj is the (ngens x n) coordinate
-    matrix of the projection Z^n -> group, sect is an (n x ngens) matrix
-    whose columns are ambient representatives of the canonical generators,
-    and snf is the (u, uinv, d, v) of relations they were read from.
+    Returns (group, proj, kept, snf): snf is the Smith form (u, d, v) of
+    relations, and proj, the (ngens x n) coordinate matrix of the
+    projection Z^n -> group, holds the rows `kept` of u.  _section reads
+    ambient representatives of the canonical generators off u^-1.
     """
     n = relations.rows
     if n == 0 or relations.cols == 0:  # an empty matrix is its own Smith form
         one, v = IntMatrix.identity(n), IntMatrix.identity(relations.cols)
-        return FgGroup(n), one, one, (one, one, relations, v)
-    snf = u, uinv, d, _ = _snf_with_inverses(relations)
+        return FgGroup(n), one, tuple(range(n)), (one, relations, v)
+    snf = u, d, _ = _snf_with_inverses(relations)
     diag = d.diagonal()
     free_idx = [i for i in range(n) if (diag[i] if i < len(diag) else 0) == 0]
     tors_idx = [i for i in range(n) if i < len(diag) and diag[i] >= 2]
     group = FgGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-    kept = free_idx + tors_idx
+    kept = tuple(free_idx + tors_idx)
     proj = IntMatrix._of(len(kept), n, tuple(u.entries[i] for i in kept))
-    sect = IntMatrix._of(n, len(kept), tuple(tuple(row[i] for i in kept)
-                                             for row in uinv.entries))
-    return group, proj, sect, snf
+    return group, proj, kept, snf
+
+
+def _section(presentation) -> IntMatrix:
+    """Columns `kept` of u^-1 of a cokernel_presentation, ambient
+    representatives of its generators.  Without relations, u = I = u^-1."""
+    _, _, kept, (u, d, _) = presentation
+    uinv = _inverse(u) if d.rows and d.cols else u
+    return IntMatrix._of(u.rows, len(kept), tuple(tuple(row[i] for i in kept)
+                                                  for row in uinv.entries))
 
 
 def sublattice_quotient(gens: IntMatrix, rels: IntMatrix):
@@ -616,20 +614,19 @@ def sublattice_quotient(gens: IntMatrix, rels: IntMatrix):
     where reps is an (n x ngens) matrix of ambient representatives of the
     canonical generators.
     """
-    u, uinv, d, _ = cokernel_presentation(gens)[3]
+    u, d, v = cokernel_presentation(gens)[3]
     diag = d.diagonal()
     rank = sum(1 for x in diag if x != 0)
-    # coordinates of the relations in the lattice basis b_i = d_i * uinv[:, i]
+    # relations in the lattice basis b_i = column i of gens v = d_i * u^-1[:, i]
     rel_coords = []
     for col in rels.columns():
         z = _back_substitute(d, u.vec(col))
         if z is None:
             raise ValueError("relations do not lie in the generator lattice")
         rel_coords.append(z[:rank])
-    group, _, sect, _ = cokernel_presentation(_from_columns(rel_coords, rank))
-    basis = IntMatrix._of(gens.rows, rank, tuple(tuple(map(mul, row[:rank], diag))
-                                         for row in uinv.entries))
-    return group, basis @ sect
+    presentation = cokernel_presentation(_from_columns(rel_coords, rank))
+    basis = gens @ IntMatrix._of(v.rows, rank, tuple(row[:rank] for row in v.entries))
+    return presentation[0], basis @ _section(presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +648,7 @@ def cokernel(h: Hom) -> tuple[FgGroup, Hom]:
 def _preimage_of_zero_lattice(h: Hom) -> IntMatrix:
     """Lattice {x in Z^n_dom : h(x) = 0 in the codomain}, as columns."""
     na = h.domain.ngens
-    _, _, d, v = cokernel_presentation(_stacked(h))[3]
+    _, d, v = cokernel_presentation(_stacked(h))[3]
     rank = sum(1 for x in d.diagonal() if x != 0)
     free = IntMatrix._of(na, v.cols - rank, tuple(row[rank:] for row in v.entries[:na]))
     return free.hstack(h.domain.relations())  # relations: always in the kernel
@@ -699,7 +696,7 @@ def solve_hom(h: Hom, y: GroupElement) -> Optional[GroupElement]:
     """One x with h(x) = y, or None; deterministic canonical choice."""
     if y.group != h.codomain:
         raise HomError("target element is not in the codomain")
-    u, _, d, v = cokernel_presentation(_stacked(h))[3]
+    u, d, v = cokernel_presentation(_stacked(h))[3]
     return _canonical_preimage(h, d, v, u.vec(y.coords))
 
 
@@ -713,7 +710,7 @@ def section_matrix(h: Hom) -> IntMatrix:
     h.domain.element(section.vec(y.coords)) equals solve_hom(h, y) for
     every element y of the codomain.
     """
-    u, _, d, v = cokernel_presentation(_stacked(h))[3]
+    u, d, v = cokernel_presentation(_stacked(h))[3]
     xs = [_canonical_preimage(h, d, v, uy) for uy in u.columns()]
     if any(x is None for x in xs):
         raise HomError("not surjective: a codomain generator has no preimage")
@@ -749,7 +746,8 @@ def direct_sum(summands: tuple[FgGroup, ...]):
     offsets = [sum(g.ngens for g in summands[:i]) for i in range(len(summands))]
     rel_cols = [(0,) * off + col + (0,) * (n - off - g.ngens)  # block diagonal
                 for g, off in zip(summands, offsets) for col in g.relations().columns()]
-    group, proj, sect, _ = cokernel_presentation(_from_columns(rel_cols, n))
+    presentation = group, proj, _, _ = cokernel_presentation(_from_columns(rel_cols, n))
+    sect = _section(presentation)
     inclusions, projections = [], []
     for g, off in zip(summands, offsets):
         # summand g owns columns off.. of proj and rows off.. of sect

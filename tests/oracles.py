@@ -46,58 +46,12 @@ from tdual.tduality import Triple
 # invariant factors via determinantal divisors
 # ---------------------------------------------------------------------------
 
-def _minor_det(rows, row_idx, col_idx):
-    k = len(row_idx)
-    if k == 0:
-        return 1
-    if k == 1:
-        return rows[row_idx[0]][col_idx[0]]
-    total = 0
-    r0 = row_idx[0]
-    for pos, c in enumerate(col_idx):
-        sub = _minor_det(rows, row_idx[1:], col_idx[:pos] + col_idx[pos + 1:])
-        term = rows[r0][c] * sub
-        total += term if pos % 2 == 0 else -term
-    return total
-
-
-def invariant_factors_oracle(rows):
-    """Diagonal of the Smith form via gcds of k x k minors.
-
-    d_k = g_k / g_(k-1) where g_k is the gcd of all k x k minors (g_0 = 1);
-    once some g_k vanishes the remaining entries are zero.  Only sensible
-    for small matrices (exponential in size).
-    """
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    result = []
-    prev = 1
-    for k in range(1, min(m, n) + 1):
-        g = 0
-        for ri in combinations(range(m), k):
-            for ci in combinations(range(n), k):
-                g = gcd(g, _minor_det(rows, ri, ci))
-        if g == 0:
-            result.extend([0] * (min(m, n) - k + 1))
-            return result
-        result.append(g // prev)
-        prev = g
-    return result
-
-
-# ---------------------------------------------------------------------------
-# determinants
-# ---------------------------------------------------------------------------
-
-def determinant(m) -> int:
-    """Fraction-free Bareiss determinant of a square IntMatrix."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
+def _bareiss(a) -> int:
+    """Fraction-free (Bareiss) determinant of a square list of row lists,
+    which it overwrites."""
+    n = len(a)
     if n == 0:
         return 1
-    a = [list(row) for row in m.entries]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -114,6 +68,51 @@ def determinant(m) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def invariant_factors_oracle(rows):
+    """Diagonal of the Smith form via gcds of k x k minors.
+
+    d_k = g_k / g_(k-1) where g_k is the gcd of all k x k minors (g_0 = 1);
+    once some g_k vanishes the remaining entries are zero.  Each minor is a
+    Bareiss determinant, and a size stops at the first minor that brings
+    its gcd to 1.  Minors are read along anti-diagonals of the (row set,
+    column set) grid, so rows and columns both vary early: the minors of a
+    few fixed rows share the invariant factors of those rows.  A size whose
+    gcd stays above 1 reads all C(m,k) C(n,k) minors, so that is only
+    sensible for small matrices.
+    """
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    n = len(rows[0]) if rows else 0
+    result = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        rs, cs = list(combinations(range(m), k)), list(combinations(range(n), k))
+        pairs = ((rs[i], cs[t - i]) for t in range(len(rs) + len(cs) - 1)
+                 for i in range(max(0, t - len(cs) + 1), min(t + 1, len(rs))))
+        g = 0
+        for ri, ci in pairs:
+            g = gcd(g, _bareiss([[rows[i][j] for j in ci] for i in ri]))
+            if g == 1:
+                break
+        if g == 0:
+            result.extend([0] * (min(m, n) - k + 1))
+            return result
+        result.append(g // prev)
+        prev = g
+    return result
+
+
+# ---------------------------------------------------------------------------
+# determinants
+# ---------------------------------------------------------------------------
+
+def determinant(m) -> int:
+    """Fraction-free Bareiss determinant of a square IntMatrix."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    return _bareiss([list(row) for row in m.entries])
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +393,7 @@ def is_surjective(h):
 
 
 def lattice_contains(lattice, vector):
-    u, _, d, _ = _snf_with_inverses(lattice)
+    u, d, _ = _snf_with_inverses(lattice)
     return _back_substitute(d, u.vec(vector)) is not None
 
 

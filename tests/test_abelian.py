@@ -1,10 +1,9 @@
 import hashlib
 import itertools
 import random
-from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdual import abelian, cli, gysin
@@ -21,8 +20,10 @@ from tdual.abelian import (
     is_isomorphism,
     kernel,
     quotient_by,
+    section_matrix,
     smith_normal_form,
     solve_hom,
+    _inverse,
     _snf_with_inverses,
 )
 from tdual.spaces import cohomology_of, parse_space
@@ -95,13 +96,13 @@ def hermite_only(m: IntMatrix):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 9), st.integers(0, 9), st.data())
 def test_hermite_path_gives_the_smith_form(rows, cols, data):
-    """The bounded path: u m v = d with u, v unimodular, uinv the inverse
-    of u, and the same (unique) d as smith_normal_form."""
+    """The bounded path: u m v = d with u, v unimodular and the same
+    (unique) d as smith_normal_form."""
     ent = [[data.draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)]
     m = IntMatrix.from_rows(ent, cols)
-    u, uinv, d, v = hermite_only(m)
+    u, d, v = hermite_only(m)
     assert u @ m @ v == d
-    assert u @ uinv == IntMatrix.identity(rows)
+    assert u @ _inverse(u) == IntMatrix.identity(rows)
     assert abs(determinant(v)) == 1
     assert d == smith_normal_form(m)[1]
 
@@ -131,14 +132,35 @@ def _snf_corpus():
      "d22bd8751643a0bfbbcc9c54c3a4e97a0707bafd2e970454925822c88dbd1650"),
 ], ids=["default", "hermite-only"])
 def test_smith_forms_keep_their_recorded_bits(path, digest):
-    """Every (u, uinv, d, v) of the corpus, hashed: a faster elimination
+    """Every (u, u^-1, d, v) of the corpus, hashed: a faster elimination
     must take the same steps, since reports are built from the transforms.
     The digests were recorded before the rows of u rode along with the
-    rows of the matrix in one list."""
+    rows of the matrix in one list, and while the elimination still
+    carried u^-1 along; _inverse gives the same bits."""
     h = hashlib.sha256()
     for m in _snf_corpus():
-        h.update(repr([(x.rows, x.cols, x.entries) for x in path(m)]).encode())
+        u, d, v = path(m)
+        h.update(repr([(x.rows, x.cols, x.entries)
+                       for x in (u, _inverse(u), d, v)]).encode())
     assert h.hexdigest() == digest
+
+
+SMALL_OR_BIG = (st.integers(-9, 9) | st.integers(2**70, 2**80)
+                | st.integers(-2**80, -2**70))
+
+
+@st.composite
+def unimodular(draw, n, multipliers=st.integers(-3, 3)):
+    """Random row operations R_i += q R_j and swaps on the n x n identity."""
+    lines = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        q = draw(multipliers)
+        if i != j and q:
+            lines[i] = [x + q * y for x, y in zip(lines[i], lines[j])]
+        elif i != j:
+            lines[i], lines[j] = lines[j], lines[i]
+    return IntMatrix.from_rows(lines, n)
 
 
 @st.composite
@@ -158,27 +180,16 @@ def disguised_smith_forms(draw):
     cols = units + l + draw(st.integers(0, 12 - units - l))
     c = IntMatrix.from_rows([[draw(st.integers(-9, 9)) for _ in range(inner)]
                              for _ in range(k)], inner)
-    big = st.integers(-9, 9) | st.integers(2**70, 2**80) | st.integers(-2**80, -2**70)
-    e = IntMatrix.from_rows([[draw(big) for _ in range(l)] for _ in range(inner)], l)
+    e = IntMatrix.from_rows([[draw(SMALL_OR_BIG) for _ in range(l)]
+                             for _ in range(inner)], l)
     core = (c @ e).entries
     block = [[0] * cols for _ in range(rows)]
     for i in range(units):
         block[i][i] = draw(st.sampled_from([1, -1]))
     for i, row in enumerate(core):
         block[units + i][units:units + l] = row
-
-    def unimodular(n):  # random row operations and swaps on the identity
-        lines = [[int(i == j) for j in range(n)] for i in range(n)]
-        for _ in range(draw(st.integers(0, 2 * n))):
-            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-            q = draw(st.integers(-3, 3))
-            if i != j and q:
-                lines[i] = [x + q * y for x, y in zip(lines[i], lines[j])]
-            elif i != j:
-                lines[i], lines[j] = lines[j], lines[i]
-        return IntMatrix.from_rows(lines, n)
-
-    m = unimodular(rows) @ IntMatrix.from_rows(block, cols) @ unimodular(cols)
+    p, q = draw(unimodular(rows)), draw(unimodular(cols))
+    m = p @ IntMatrix.from_rows(block, cols) @ q
     factors = [1] * units + (oracles.invariant_factors_oracle(core) if k and l else [])
     return m, factors + [0] * (min(rows, cols) - len(factors))
 
@@ -188,15 +199,56 @@ def disguised_smith_forms(draw):
 def test_smith_forms_of_large_entries_on_both_paths(case):
     """Up to 12 x 12 with entries past 2^80, rank-deficient draws and unit
     pivots, on the default path and on the Hermite passes alone: u m v = d,
-    uinv the inverse of u, v unimodular, and d the oracle's invariant
-    factors on its diagonal."""
+    u and v unimodular, and d the oracle's invariant factors on its
+    diagonal."""
     m, factors = case
     expected = IntMatrix.from_rows([[factors[i] if i == j else 0 for j in range(m.cols)]
                                     for i in range(m.rows)], m.cols)
-    for u, uinv, d, v in (_snf_with_inverses(m), hermite_only(m)):
+    for u, d, v in (_snf_with_inverses(m), hermite_only(m)):
         assert u @ m @ v == d == expected
-        assert u @ uinv == IntMatrix.identity(m.rows)
+        assert u @ _inverse(u) == IntMatrix.identity(m.rows)
         assert abs(determinant(v)) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: unimodular(n, SMALL_OR_BIG)))
+@example(IntMatrix.identity(0))
+def test_inverse_of_unimodular_matrices(u):
+    """Up to 12 x 12 with row multipliers past 2^80: one Hermite pass on
+    [u | I] reads off the two-sided inverse."""
+    uinv = _inverse(u)
+    assert u @ uinv == IntMatrix.identity(u.rows) == uinv @ u
+
+
+@pytest.fixture
+def inverses(monkeypatch):
+    """u^-1 derivations from here on, every memo cold."""
+    gysin.total_space_cohomology.cache_clear()
+    calls, original = [], abelian._inverse
+
+    def counted(u):
+        calls.append(u)
+        return original(u)
+
+    monkeypatch.setattr(abelian, "_inverse", counted)
+    return calls
+
+
+def test_only_sections_derive_an_inverse(inverses):
+    """The Smith form tracks no inverse, and only the readers of a section
+    derive one: a question that needs none must not pay for it."""
+    m = IntMatrix.from_rows([[2, 4, 0], [0, 6, 0], [3, 1, 0]])
+    h = Hom(FgGroup(3), FgGroup(3), m)  # free domain, kernel Z, cokernel Z + Z/2
+    x = FgGroup(3).element([1, -2, 5])
+    smith_normal_form(m)
+    assert cokernel(h)[0] == FgGroup(1, (2,))
+    assert solve_hom(h, h(x)) is not None
+    assert section_matrix(Hom.identity(FgGroup(1, (4,)))) == IntMatrix.identity(2)
+    assert kernel(h)[0] == FgGroup(1)
+    assert is_exact_at(kernel(h)[1], h)
+    assert inverses == []
+    direct_sum((FgGroup(0, (2,)), FgGroup(1, (3,))))
+    assert len(inverses) == 1
 
 
 def _max_bits(*matrices):
@@ -232,21 +284,22 @@ def _large_matrix(kind, n, bound):
 def test_hermite_path_on_large_matrices(kind, n, bound):
     """Beyond the 9 x 9 of the random tests, on the bounded path alone and
     on the default one (greedy pivoting, then the Hermite passes from where
-    it stopped): u m v = d with uinv the inverse of u, one d for both, and
+    it stopped): u m v = d with u and v unimodular, one d for both, and
     small transforms (at most 265 bits alone and 249 by default here).  A
     finish that stops after one row Hermite pass and lets greedy pivoting
     end the job passes the square cases but reaches 735 to 3,854 bits on
-    the wide and product ones."""
+    the wide and product ones.  The dense d is the oracle's."""
     m = _large_matrix(kind, n, bound)
     default = _snf_with_inverses(m)
-    d = default[2]
-    for u, uinv, d_path, v in (hermite_only(m), default):
+    d = default[1]
+    for u, d_path, v in (hermite_only(m), default):
+        uinv = _inverse(u)
         assert u @ m @ v == d_path == d
         assert u @ uinv == IntMatrix.identity(m.rows)
         assert abs(determinant(v)) == 1
         assert _max_bits(u, uinv, v) <= 384
     if kind == "dense":
-        assert prod(d.diagonal()) == abs(determinant(m))
+        assert d.diagonal() == oracles.invariant_factors_oracle(m.entries)
 
 
 def test_hermite_passes_finish_from_where_greedy_stopped(monkeypatch):
@@ -259,14 +312,14 @@ def test_hermite_passes_finish_from_where_greedy_stopped(monkeypatch):
     entered = []
     hermite = abelian._hermite
 
-    def recording(a, width, tinv=None):
+    def recording(a, width):
         entered.append((sorted(x for row in a for x in row[:width]),
                         [row[width:] for row in a]))
-        return hermite(a, width, tinv)
+        return hermite(a, width)
 
     monkeypatch.setattr(abelian, "_hermite", recording)
-    u, uinv, d, v = _snf_with_inverses(m)
-    assert u @ m @ v == d and u @ uinv == IntMatrix.identity(m.rows)
+    u, d, v = _snf_with_inverses(m)
+    assert u @ m @ v == d
     assert entered
     matrix, carried = entered[0]
     assert matrix != sorted(x for row in m.entries for x in row)
@@ -329,17 +382,27 @@ def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
     """A Smith form that passes the greedy budget is finished by the
     Hermite passes, which take other transforms and can change report
     bytes.  With a third of the per-line budget, no Smith form of a
-    batch-shaped sweep enters them, so the budget has room."""
-    fallbacks = []
-    hermite = abelian._hermite
+    batch-shaped sweep enters them, so the budget has room.  Hermite
+    passes that _inverse runs outside a Smith form are not counted."""
+    fallbacks, open_snfs = [], []
+    hermite, snf = abelian._hermite, abelian._snf_with_inverses
 
-    def counting(a, width, tinv=None):
-        fallbacks.append((len(a), width))
-        return hermite(a, width, tinv)
+    def counting(a, width):
+        if open_snfs:
+            fallbacks.append((len(a), width))
+        return hermite(a, width)
+
+    def tracked(m):
+        open_snfs.append(m)
+        try:
+            return snf(m)
+        finally:
+            open_snfs.pop()
 
     monkeypatch.setattr(abelian, "_GREEDY_BITS_PER_LINE",
                         abelian._GREEDY_BITS_PER_LINE / 3)
     monkeypatch.setattr(abelian, "_hermite", counting)
+    monkeypatch.setattr(abelian, "_snf_with_inverses", tracked)
     gysin.total_space_cohomology.cache_clear()
     try:
         jobs = 0

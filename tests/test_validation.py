@@ -30,6 +30,8 @@ from tdual.abelian import (
     GroupElement,
     Hom,
     IntMatrix,
+    _inverse,
+    _section,
     _snf_with_inverses,
     cokernel,
     cokernel_presentation,
@@ -117,8 +119,8 @@ Z3 = FgGroup(0, (3,))
 @example(IntMatrix.zeros(5, 0))
 def test_smith_forms_are_checked_matrices(m):
     greedy, hermite = _snf_with_inverses(m), hermite_only(m)
-    assert checked(*greedy) and checked(*hermite)
-    assert greedy[2] == hermite[2]
+    assert checked(*greedy, _inverse(greedy[0])) and checked(*hermite)
+    assert greedy[1] == hermite[1]
 
 
 @settings(max_examples=150, deadline=None)
@@ -205,11 +207,13 @@ def test_dense_arithmetic_matches_the_entrywise_definition():
 def test_empty_presentation_equals_the_smith_form_path(shape):
     n, k = shape
     relations = IntMatrix.zeros(n, k)
-    snf = u, uinv, d, _ = _snf_with_inverses(relations)
+    snf = u, d, _ = _snf_with_inverses(relations)
     assert d.diagonal() == []  # every row is free, kept in order
-    group, proj, sect, kept = cokernel_presentation(relations)
-    assert (group, proj, sect) == (FgGroup(n), u, uinv)
-    assert kept == snf  # what kernel, solve_hom and section_matrix read
+    presentation = group, proj, kept, presented = cokernel_presentation(relations)
+    assert (group, proj, kept) == (FgGroup(n), u, tuple(range(n)))
+    assert presented == snf  # what kernel, solve_hom and section_matrix read
+    sect = _section(presentation)  # u is I: read without an inverse
+    assert sect == _inverse(u)
     assert checked(proj, sect)
 
 
