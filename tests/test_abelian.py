@@ -220,23 +220,12 @@ def test_inverse_of_unimodular_matrices(u):
     assert u @ uinv == IntMatrix.identity(u.rows) == uinv @ u
 
 
-@pytest.fixture
-def inverses(monkeypatch):
-    """u^-1 derivations from here on, every memo cold."""
-    gysin.total_space_cohomology.cache_clear()
-    calls, original = [], abelian._inverse
-
-    def counted(u):
-        calls.append(u)
-        return original(u)
-
-    monkeypatch.setattr(abelian, "_inverse", counted)
-    return calls
-
-
-def test_only_sections_derive_an_inverse(inverses):
+def test_only_sections_derive_an_inverse(monkeypatch):
     """The Smith form tracks no inverse, and only the readers of a section
     derive one: a question that needs none must not pay for it."""
+    gysin.total_space_cohomology.cache_clear()  # every memo cold
+    inverses, original = [], abelian._inverse
+    monkeypatch.setattr(abelian, "_inverse", lambda u: inverses.append(u) or original(u))
     m = IntMatrix.from_rows([[2, 4, 0], [0, 6, 0], [3, 1, 0]])
     h = Hom(FgGroup(3), FgGroup(3), m)  # free domain, kernel Z, cokernel Z + Z/2
     x = FgGroup(3).element([1, -2, 5])
