@@ -95,18 +95,16 @@ def _json(value, nl: str) -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
                  for k in sorted(value)]   # f-strings: one new string per item
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
-    if all(type(x) is int for x in value):  # not bool, which prints true
-        items = map(str, value)
-    elif (type(value[0]) in (list, tuple)   # all lists or all tuples
-          and set(map(type, value)) == {type(value[0])}
-          and len(set(map(len, value))) == 1   # empty rows fail the next test
-          and set(map(type, chain.from_iterable(value))) == {int}):
-        inner2 = inner + "  "
-        row = ("[" + inner2 + ("," + inner2).join(["%d"] * len(value[0]))
-               + inner + "]")
-        items = [row % tuple(x) for x in value]
-    else:
-        items = [_json(x, inner) for x in value]
+    if (kinds := set(map(type, value))) == {int}:   # not bool: prints true
+        return f"[{inner}{(',' + inner).join(map(str, value))}{nl}]"
+    if kinds in ({list}, {tuple}) and len(set(map(len, value))) == 1:
+        flat = tuple(chain.from_iterable(value))
+        if set(map(type, flat)) == {int}:   # empty rows: general path
+            inner2 = inner + "  "
+            row = ("[" + inner2 + ("," + inner2).join(["%d"] * len(value[0]))
+                   + inner + "]")   # one % call writes every row
+            return f"[{inner}{(',' + inner).join([row] * len(value)) % flat}{nl}]"
+    items = [_json(x, inner) for x in value]
     return f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
@@ -117,6 +115,13 @@ def _inline(value) -> bool:
         not isinstance(x, (dict, list, tuple)) for x in value)
 
 
+def _flow(value) -> str:
+    """json.dumps(value), writing a list or tuple of exact ints at once."""
+    if type(value) in (list, tuple) and set(map(type, value)) == {int}:
+        return "[" + ", ".join(map(str, value)) + "]"
+    return json.dumps(value)
+
+
 def _text_lines(doc, indent=0):
     pad = "  " * indent
     lines = []
@@ -124,14 +129,14 @@ def _text_lines(doc, indent=0):
         for key in sorted(doc):
             value = doc[key]
             if _inline(value):
-                lines.append(f"{pad}{key}: {json.dumps(value)}")
+                lines.append(f"{pad}{key}: {_flow(value)}")
             else:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_text_lines(value, indent + 1))
     elif isinstance(doc, (list, tuple)):
         for value in doc:
             if _inline(value):
-                lines.append(f"{pad}- {json.dumps(value)}")
+                lines.append(f"{pad}- {_flow(value)}")
             else:  # a block item: "- " takes the place of its first pad
                 item = _text_lines(value, indent + 1)
                 lines.append(f"{pad}- {item[0][len(pad) + 2:]}")

@@ -9,6 +9,8 @@ TypeError of json's string encoder.  A solved total space keeps its table
 and the table's text per indent, so later reports of the bundle share
 both, and each distinct group and matrix is one shared node in the same
 way; they must still be written as json.dumps would, at every depth.
+The text writer writes each inline list of ints itself, so its output is
+compared with the same layout calling json.dumps on every inline value.
 """
 
 import argparse
@@ -17,12 +19,13 @@ import enum
 import io
 import json
 import pickle
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdual import cli
+from tdual import cli, report
 from tdual.abelian import FgGroup, IntMatrix
 from tdual.cli import run_job
 from tdual.gysin import total_space_cohomology
@@ -77,6 +80,34 @@ report_values = st.recursive(
                             st.dictionaries(texts, inner, max_size=4)),
     max_leaves=20)
 
+# 512 width-1 tuples and 300 width-3 lists whose last row breaks one test
+# of the int-row writer: a bool, float or int-subclass entry, a ragged
+# row, a list among tuples (a tuple among lists), an empty row
+TUPLE_ROWS = [(k,) for k in range(511)]
+LIST_ROWS = [[k, -k, 2 ** 70] for k in range(299)]
+BAD_LAST = ([TUPLE_ROWS + [bad] for bad in
+             ((True,), (1.5,), (Level.LOW,), (1, 2), [7], ())]
+            + [LIST_ROWS + [bad] for bad in
+               ([1, 2, True], [1, 2, 0.5], [1, 2, Level.LOW], [1, 2],
+                (1, 2, 3), [])])
+
+
+def _deep(rows):
+    """rows 3 levels deep, next to keys and strings holding % fields."""
+    return {"%d": [{"%s": rows, "v": "%d %s %% %(x)s"}], "x%s": "%d"}
+
+
+DEEP = [_deep(rows) for rows in [TUPLE_ROWS + [(-1,)], LIST_ROWS] + BAD_LAST]
+
+
+def examples(*docs):
+    """An @example for each of docs."""
+    def wrap(test):
+        for doc in docs:
+            test = example(doc)(test)
+        return test
+    return wrap
+
 
 @settings(max_examples=150, deadline=None)
 @given(report_values)
@@ -100,12 +131,24 @@ report_values = st.recursive(
 @example("x")
 @example(None)
 @example({"a": {1: "one"}})             # not a str key
+@examples(*BAD_LAST, *DEEP)
 def test_emit_json_equals_json_dumps(doc):
     if str_keys_only(doc):
         assert emit_json(doc) == reference(doc)
     else:
         with pytest.raises(TypeError, match="^first argument must be a string, not int$"):
             emit_json(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(report_values)
+@example({"a": [1, True, 0], "t": (2 ** 80, -1), "e": [Level.LOW, 2],
+          "f": [1.5, 2], "s": ["%d", 1], "n": [None], "d": {}, "l": []})
+@examples(*BAD_LAST, *DEEP)
+def test_emit_text_equals_json_dumps_per_inline_value(doc):
+    with mock.patch.object(report, "_flow", json.dumps):
+        want = emit_text(doc)
+    assert emit_text(doc) == want
 
 
 def _sweep_jobs():
