@@ -6,7 +6,10 @@ Each distinct group and matrix is one shared node (a memo), written once
 per indent like a total-space table, so reports are read-only.  JSON
 output is schema-versioned, key-sorted and newline-terminated, so
 identical jobs yield byte-identical documents and parse/re-emit round
-trips are stable.
+trips are stable.  Both writers give json.dumps' bytes: emit_json joins
+each int list at once and formats each list of equal-length int rows with
+one % call; emit_text joins each inline int list and leaves any other
+inline value to json.dumps.
 """
 
 from __future__ import annotations
