@@ -6,10 +6,9 @@ Each distinct group and matrix is one shared node (a memo), written once
 per indent like a total-space table, so reports are read-only.  JSON
 output is schema-versioned, key-sorted and newline-terminated, so
 identical jobs yield byte-identical documents and parse/re-emit round
-trips are stable.  Both writers give json.dumps' bytes: emit_json joins
-each int list at once and formats each list of equal-length int rows with
-one % call; emit_text joins each inline int list and leaves any other
-inline value to json.dumps.
+trips are stable.  emit_json gives json.dumps' bytes: it joins each int
+list at once and formats each list of equal-length int rows with one %
+call.
 """
 
 from __future__ import annotations
@@ -118,13 +117,6 @@ def _inline(value) -> bool:
         not isinstance(x, (dict, list, tuple)) for x in value)
 
 
-def _flow(value) -> str:
-    """json.dumps(value), writing a list or tuple of exact ints at once."""
-    if type(value) in (list, tuple) and set(map(type, value)) == {int}:
-        return "[" + ", ".join(map(str, value)) + "]"
-    return json.dumps(value)
-
-
 def _text_lines(doc, indent=0):
     pad = "  " * indent
     lines = []
@@ -132,14 +124,14 @@ def _text_lines(doc, indent=0):
         for key in sorted(doc):
             value = doc[key]
             if _inline(value):
-                lines.append(f"{pad}{key}: {_flow(value)}")
+                lines.append(f"{pad}{key}: {json.dumps(value)}")
             else:
                 lines.append(f"{pad}{key}:")
                 lines.extend(_text_lines(value, indent + 1))
     elif isinstance(doc, (list, tuple)):
         for value in doc:
             if _inline(value):
-                lines.append(f"{pad}- {_flow(value)}")
+                lines.append(f"{pad}- {json.dumps(value)}")
             else:  # a block item: "- " takes the place of its first pad
                 item = _text_lines(value, indent + 1)
                 lines.append(f"{pad}- {item[0][len(pad) + 2:]}")

@@ -140,14 +140,13 @@ def coset_partition(gen: GroupElement,
     reps = None
     if quotient.is_finite() and quotient.order() <= ENUMERATION_CAP:
         # the lifts sum_i q_i s_i, q in itertools.product order, built one
-        # coordinate at a time from its row of the section (the multiples
-        # of each entry taken once) and reduced modulo its torsion order
+        # coordinate at a time from its row of the section and reduced
+        # modulo its torsion order
         coords = []
         for row, t in zip(section_matrix(proj).entries, h2.moduli):
             vals = [0]
             for c, d in zip(row, quotient.torsion):
-                steps = range(0, d * c, c) if c else (0,) * d
-                vals = [v + s for v in vals for s in steps]
+                vals = [v + k * c for v in vals for k in range(d)]
             coords.append([v % t for v in vals] if t else vals)
         reps = tuple(zip(*coords)) if coords else ((),) * quotient.order()
     return CosetData(

@@ -9,8 +9,6 @@ TypeError of json's string encoder.  A solved total space keeps its table
 and the table's text per indent, so later reports of the bundle share
 both, and each distinct group and matrix is one shared node in the same
 way; they must still be written as json.dumps would, at every depth.
-The text writer writes each inline list of ints itself, so its output is
-compared with the same layout calling json.dumps on every inline value.
 """
 
 import argparse
@@ -19,13 +17,12 @@ import enum
 import io
 import json
 import pickle
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdual import cli, report
+from tdual import cli
 from tdual.abelian import FgGroup, IntMatrix
 from tdual.cli import run_job
 from tdual.gysin import total_space_cohomology
@@ -138,17 +135,6 @@ def test_emit_json_equals_json_dumps(doc):
     else:
         with pytest.raises(TypeError, match="^first argument must be a string, not int$"):
             emit_json(doc)
-
-
-@settings(max_examples=150, deadline=None)
-@given(report_values)
-@example({"a": [1, True, 0], "t": (2 ** 80, -1), "e": [Level.LOW, 2],
-          "f": [1.5, 2], "s": ["%d", 1], "n": [None], "d": {}, "l": []})
-@examples(*BAD_LAST, *DEEP)
-def test_emit_text_equals_json_dumps_per_inline_value(doc):
-    with mock.patch.object(report, "_flow", json.dumps):
-        want = emit_text(doc)
-    assert emit_text(doc) == want
 
 
 def _sweep_jobs():
