@@ -24,7 +24,6 @@ from .abelian import (
     smith_normal_form,
 )
 from .classifying import (
-    MappingTorusData,
     ZAction,
     mapping_torus_cohomology,
     universal_bundle_tables,
@@ -61,6 +60,5 @@ __all__ = [
     "exactness_audit",
     "Triple", "DualityReport", "dualize", "dual_euler",
     "dual_flux", "coset_partition", "verify_coset_isomorphism",
-    "ZAction", "MappingTorusData",
-    "mapping_torus_cohomology", "universal_bundle_tables",
+    "ZAction", "mapping_torus_cohomology", "universal_bundle_tables",
 ]

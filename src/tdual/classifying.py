@@ -9,9 +9,10 @@ rows and collapses, so every degree sits in
 with invariants = ker(theta - 1) and coinvariants = coker(theta - 1).
 This is the two-row shape of the Gysin sequence, so each degree is built
 by gysin.split_degree with f = theta - 1 in degree n-1 and g = theta - 1
-in degree n.  The sequence splits whenever the invariant part is free;
-coinvariant classes pick up the circle class of the torus direction in
-their names.
+in degree n.  mapping_torus_cohomology takes the cover and its deck
+matrices, one per degree, each checked as a ZAction.  The sequence
+splits whenever the invariant part is free; coinvariant classes pick up
+the circle class of the torus direction in their names.
 
 The canonical bundle tables are produced by running the Gysin engine
 over the pinned R32 cohomology and are cross-checked against the pinned
@@ -73,10 +74,6 @@ class ZAction:
     def from_matrix(cls, group: FgGroup, matrix: IntMatrix) -> "ZAction":
         return cls(Hom(group, group, matrix))
 
-    @classmethod
-    def trivial(cls, group: FgGroup) -> "ZAction":
-        return cls(Hom.identity(group))
-
     def shift(self) -> Hom:
         """theta - 1, the map whose kernel/cokernel we take."""
         minus = IntMatrix.identity(self.group.ngens).scale(-1)
@@ -88,38 +85,28 @@ class ZAction:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MappingTorusData:
-    cover: GradedCohomology
-    actions: dict          # degree -> deck matrix; zero degrees may be omitted
-    circle_class: str = "l"
-
-    def action(self, k: int) -> ZAction:
-        g = self.cover.group(k)
-        if k in self.actions:
-            return ZAction.from_matrix(g, self.actions[k])
-        if g.is_zero():
-            return ZAction.trivial(g)
-        raise ValueError(f"missing action data in degree {k}")
-
-
-@dataclass(frozen=True)
 class MappingTorusCohomology:
     table: GradedCohomology
     ambiguous: tuple       # degrees where the two-row extension is torsion
 
 
-def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
+def mapping_torus_cohomology(cover: GradedCohomology, actions: dict,
+                             circle: str = "l") -> MappingTorusCohomology:
     """Assemble H^* of the mapping torus from the deck actions.
 
-    Degree n is the split_degree of the degree-(n-1) coinvariants and the
-    degree-n invariants, from the one shift theta - 1 of each cover
-    degree; a nonzero coinvariant part under torsion invariants leaves
-    the extension undetermined and flags the degree.
+    `actions` maps a degree to its deck matrix; a zero degree may be
+    omitted.  Degree n is the split_degree of the degree-(n-1)
+    coinvariants and the degree-n invariants, from the one shift
+    theta - 1 of each cover degree; a nonzero coinvariant part under
+    torsion invariants leaves the extension undetermined and flags the
+    degree.  `circle` names the class of the torus direction.
     """
-    cover = data.cover
-    circle = data.circle_class
-    shifts = [Hom.zero(ZERO_GROUP, ZERO_GROUP)] + [
-        data.action(n).shift() for n in range(cover.max_degree + 1)]
+    shifts = [Hom.zero(ZERO_GROUP, ZERO_GROUP)]
+    for n, g in enumerate(cover.groups):
+        if n not in actions and not g.is_zero():
+            raise ValueError(f"missing action data in degree {n}")
+        matrix = actions.get(n, IntMatrix.identity(0))
+        shifts.append(ZAction.from_matrix(g, matrix).shift())
     names = ((),) + cover.names
     degrees = []
     for n in range(cover.max_degree + 1):
@@ -141,18 +128,14 @@ def mapping_torus_cohomology(data: MappingTorusData) -> MappingTorusCohomology:
 
 
 def r2_cohomology_computed() -> MappingTorusCohomology:
-    cover = fixtures.r2_cover()
-    return mapping_torus_cohomology(MappingTorusData(cover, {
-        0: IntMatrix.identity(1), 2: fixtures.R2_PI2_ACTION,
-    }, circle_class="a"))
+    return mapping_torus_cohomology(fixtures.r2_cover(), {
+        0: IntMatrix.identity(1), 2: fixtures.R2_PI2_ACTION}, circle="a")
 
 
 def r32_cohomology_computed() -> MappingTorusCohomology:
-    cover = fixtures.r32_cover()
-    return mapping_torus_cohomology(MappingTorusData(cover, {
-        0: IntMatrix.identity(1), 2: fixtures.R32_DEGREE2_ACTION,
-        4: fixtures.R32_DEGREE4_ACTION,
-    }, circle_class="l"))
+    return mapping_torus_cohomology(fixtures.r32_cover(), {
+        0: IntMatrix.identity(1), 2: fixtures.R32_PI2_ACTION,
+        4: fixtures.R32_DEGREE4_ACTION})
 
 
 # ---------------------------------------------------------------------------

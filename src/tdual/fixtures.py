@@ -36,9 +36,8 @@ R32_HOMOTOPY = {1: Z, 2: FgGroup(3), 3: Z}   # zero above degree 3
 R2_PI2_ACTION = IntMatrix.from_rows([[1, 1], [0, 1]])
 R32_PI2_ACTION = IntMatrix.from_rows([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
 
-# deck action on the cover cohomology: degree 2 matches the pi_2 matrix,
-# degree 4 is its induced action on the square basis below
-R32_DEGREE2_ACTION = R32_PI2_ACTION
+# deck action on the cover cohomology: degree 2 is the pi_2 matrix,
+# degree 4 its induced action on the square basis below
 R32_DEGREE4_ACTION = IntMatrix.from_rows([
     [1, 0, 2, 0, 1],
     [0, 1, 0, 0, 0],

@@ -38,7 +38,6 @@ from .abelian import (
     GroupElement,
     Hom,
     IntMatrix,
-    MEMO_SIZE as SOLVED_CACHE_SIZE,
     cokernel,
     cokernel_presentation,
     direct_sum,
@@ -196,7 +195,7 @@ def total_space_cohomology(bundle: CircleBundle,
     The default top degree is base.max_degree - 1, the highest degree the
     sequence determines from the available base data.
 
-    Bundles compare by value, so the SOLVED_CACHE_SIZE most recent (base,
+    Bundles compare by value, so the abelian.MEMO_SIZE most recent (base,
     Euler class, top degree) are each solved once; `.cache_info()` reads
     this memo and `.cache_clear()` empties every memo (abelian.memo).
     """

@@ -27,7 +27,6 @@ from tdual.abelian import (
     IntMatrix,
     _back_substitute,
     _preimage_of_zero_lattice,
-    _snf_with_inverses,
     cokernel,
     direct_sum,
     hom_inverse,
@@ -35,6 +34,7 @@ from tdual.abelian import (
     kernel,
     quotient_by,
     section_matrix,
+    smith_normal_form,
     solve_hom,
 )
 from tdual.gysin import CircleBundle, total_space_cohomology
@@ -393,7 +393,7 @@ def is_surjective(h):
 
 
 def lattice_contains(lattice, vector):
-    u, d, _ = _snf_with_inverses(lattice)
+    u, d, _ = smith_normal_form(lattice)
     return _back_substitute(d, u.vec(vector)) is not None
 
 

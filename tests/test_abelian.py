@@ -24,7 +24,6 @@ from tdual.abelian import (
     smith_normal_form,
     solve_hom,
     _inverse,
-    _snf_with_inverses,
 )
 from tdual.spaces import cohomology_of, parse_space
 
@@ -85,12 +84,12 @@ def test_snf_properties_random(rows, cols, data):
 
 
 def hermite_only(m: IntMatrix):
-    """_snf_with_inverses on the bounded path alone: a budget below zero
+    """smith_normal_form on the bounded path alone: a budget below zero
     stops greedy pivoting before its first elimination step, so the
     Hermite passes do all the work."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(abelian, "_GREEDY_BITS_PER_LINE", -1)
-        return _snf_with_inverses(m)
+        return smith_normal_form(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -126,7 +125,7 @@ def _snf_corpus():
 
 
 @pytest.mark.parametrize("path, digest", [
-    (_snf_with_inverses,
+    (smith_normal_form,
      "1fa6fd6858298942a5ca3002208fe67f35b866c50044d140c64de06d98c46635"),
     (hermite_only,
      "d22bd8751643a0bfbbcc9c54c3a4e97a0707bafd2e970454925822c88dbd1650"),
@@ -204,7 +203,7 @@ def test_smith_forms_of_large_entries_on_both_paths(case):
     m, factors = case
     expected = IntMatrix.from_rows([[factors[i] if i == j else 0 for j in range(m.cols)]
                                     for i in range(m.rows)], m.cols)
-    for u, d, v in (_snf_with_inverses(m), hermite_only(m)):
+    for u, d, v in (smith_normal_form(m), hermite_only(m)):
         assert u @ m @ v == d == expected
         assert u @ _inverse(u) == IntMatrix.identity(m.rows)
         assert abs(determinant(v)) == 1
@@ -279,7 +278,7 @@ def test_hermite_path_on_large_matrices(kind, n, bound):
     end the job passes the square cases but reaches 735 to 3,854 bits on
     the wide and product ones.  The dense d is the oracle's."""
     m = _large_matrix(kind, n, bound)
-    default = _snf_with_inverses(m)
+    default = smith_normal_form(m)
     d = default[1]
     for u, d_path, v in (hermite_only(m), default):
         uinv = _inverse(u)
@@ -307,7 +306,7 @@ def test_hermite_passes_finish_from_where_greedy_stopped(monkeypatch):
         return hermite(a, width)
 
     monkeypatch.setattr(abelian, "_hermite", recording)
-    u, d, v = _snf_with_inverses(m)
+    u, d, v = smith_normal_form(m)
     assert u @ m @ v == d
     assert entered
     matrix, carried = entered[0]
@@ -374,7 +373,7 @@ def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
     batch-shaped sweep enters them, so the budget has room.  Hermite
     passes that _inverse runs outside a Smith form are not counted."""
     fallbacks, open_snfs = [], []
-    hermite, snf = abelian._hermite, abelian._snf_with_inverses
+    hermite, snf = abelian._hermite, abelian.smith_normal_form
 
     def counting(a, width):
         if open_snfs:
@@ -391,7 +390,7 @@ def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
     monkeypatch.setattr(abelian, "_GREEDY_BITS_PER_LINE",
                         abelian._GREEDY_BITS_PER_LINE / 3)
     monkeypatch.setattr(abelian, "_hermite", counting)
-    monkeypatch.setattr(abelian, "_snf_with_inverses", tracked)
+    monkeypatch.setattr(abelian, "smith_normal_form", tracked)
     gysin.total_space_cohomology.cache_clear()
     try:
         jobs = 0

@@ -5,7 +5,6 @@ import pytest
 from tdual import fixtures
 from tdual.abelian import FgGroup, Hom, IntMatrix
 from tdual.classifying import (
-    MappingTorusData,
     ZAction,
     mapping_torus_cohomology,
     r2_cohomology_computed,
@@ -40,7 +39,7 @@ def test_z_group_cohomology_shear():
 def test_z_group_cohomology_identity():
     for k in (1, 2, 4):
         g = FgGroup(k)
-        (h0, _), (h1, _) = oracles.z_group_cohomology(ZAction.trivial(g))
+        (h0, _), (h1, _) = oracles.z_group_cohomology(ZAction(Hom.identity(g)))
         assert h0 == g and h1 == g
 
 
@@ -88,9 +87,8 @@ def test_r2_table():
 
 def test_trivial_action_gives_product_rule():
     cover = fixtures.r32_cover()
-    data = MappingTorusData(cover, {
+    out = mapping_torus_cohomology(cover, {
         k: IntMatrix.identity(cover.group(k).ngens) for k in (0, 2, 4)})
-    out = mapping_torus_cohomology(data)
     for n in range(cover.max_degree + 1):
         want_rank = cover.group(n).free_rank + cover.group(n - 1).free_rank
         assert out.table.group(n).free_rank == want_rank
@@ -121,10 +119,12 @@ def test_r32_table_computed():
 
 
 def test_missing_action_errors():
+    # degree 1 of the cover is zero and takes the 0 x 0 identity; degree 2
+    # is the first nonzero degree left out
     cover = fixtures.r32_cover()
-    data = MappingTorusData(cover, {0: IntMatrix.identity(1)})
-    with pytest.raises(ValueError):
-        mapping_torus_cohomology(data)
+    assert cover.group(1).is_zero() and not cover.group(2).is_zero()
+    with pytest.raises(ValueError, match="^missing action data in degree 2$"):
+        mapping_torus_cohomology(cover, {0: IntMatrix.identity(1)})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from tdual.abelian import (
     ZERO_GROUP,
     sublattice_quotient,
 )
-from tdual.classifying import MappingTorusData, ZAction
+from tdual.classifying import ZAction, mapping_torus_cohomology
 from tdual.gysin import (
     CircleBundle,
     GysinError,
@@ -232,8 +232,9 @@ def test_a_deck_action_must_be_an_endomorphism():
 
 
 def test_a_mapping_torus_action_must_act_on_its_degree():
-    # the degree-2 deck matrix acts on H^2(S2) = Z, so it must be 1 x 1
+    # the degree-2 deck matrix acts on H^2(S2) = Z, so it must be 1 x 1;
+    # degrees 0 and 1 are checked first and pass
     cover = cohomology_of(parse_space("S2"), 2)
-    data = MappingTorusData(cover, {2: IntMatrix.identity(2)})
+    actions = {0: IntMatrix.identity(1), 2: IntMatrix.identity(2)}
     with pytest.raises(HomError, match="matrix is \\(2, 2\\), expected \\(1, 1\\)"):
-        data.action(2)
+        mapping_torus_cohomology(cover, actions)

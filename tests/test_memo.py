@@ -40,7 +40,7 @@ from tdual.abelian import (
 )
 from tdual import cli
 from tdual.cli import run_job
-from tdual.gysin import SOLVED_CACHE_SIZE, total_space_cohomology
+from tdual.gysin import total_space_cohomology
 from tdual.report import Table, emit_json, group_json, matrix_json
 from tdual.spaces import CatalogSpace, cohomology_of, parse_space
 
@@ -110,19 +110,18 @@ def counted_snf():
     """Smith forms run inside the block: the yielded list gets each
     factored matrix."""
     calls = []
-    original = abelian._snf_with_inverses
+    original = abelian.smith_normal_form
 
     def counted(m):
         calls.append(m)
         return original(m)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(abelian, "_snf_with_inverses", counted)
+        patch.setattr(abelian, "smith_normal_form", counted)
         yield calls
 
 
 def test_one_bound_for_every_memo():
-    assert SOLVED_CACHE_SIZE == MEMO_SIZE
     assert {m.__wrapped__ for m in _memos()} == {f.__wrapped__ for f in (
         kernel, cokernel_presentation, section_matrix, solve_hom,
         cohomology_of, gysin._solved, group_json, matrix_json,

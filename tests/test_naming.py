@@ -11,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tdual.abelian import FgGroup
-from tdual.gysin import CircleBundle, total_space_cohomology
+from tdual.abelian import FgGroup, Hom, IntMatrix
+from tdual.gysin import CircleBundle, split_degree, total_space_cohomology
 from tdual.spaces import cohomology_of, inherited_names, parse_space, sum_named
 
 from .oracles import sum_names_by_parts
@@ -96,6 +96,21 @@ def test_sum_named_follows_the_rule_part_by_part(parts):
 @pytest.mark.parametrize("parts,names", TWO_PARTS.values(), ids=TWO_PARTS)
 def test_sum_named_on_two_parts(parts, names):
     assert sum_named(parts)[1] == names == sum_names_by_parts(parts)
+
+
+def test_a_reduced_unit_inherits_its_name_through_the_engine():
+    """The d - 1 branch of the rule, reached by split_degree: over
+    B = Z/2 + Z/6, coker(f) for f = (1, 3): Z -> B is Z/6, and its section
+    column is (0, 5), with 5 = 6 - 1 a unit of Z/6.  So the cokernel
+    generator inherits x1; the kernel of g is Z/2, named k0.  No catalog
+    report reaches this branch, since the catalog's only torsion is Z/2."""
+    b = FgGroup(0, (2, 6))
+    f = Hom(FgGroup(1), b, IntMatrix.from_rows([[1], [3]]))
+    g = Hom(b, b, IntMatrix.from_rows([[0, 0], [3, 5]]))
+    degree = split_degree(f, g, ("x0", "x1"), ("y0", "y1"), "c{}", "k{}", False)
+    assert degree.coker_sect.columns() == [(0, 5)]
+    assert degree.group == FgGroup(0, (2, 6))
+    assert degree.names == ("k0", "x1")
 
 
 def _bundles(name):

@@ -292,13 +292,13 @@ def snf_calls(monkeypatch):
     which earlier test solved the same bundle."""
     total_space_cohomology.cache_clear()
     calls = [0]
-    original = abelian._snf_with_inverses
+    original = abelian.smith_normal_form
 
     def counted(m):
         calls[0] += 1
         return original(m)
 
-    monkeypatch.setattr(abelian, "_snf_with_inverses", counted)
+    monkeypatch.setattr(abelian, "smith_normal_form", counted)
     return calls
 
 

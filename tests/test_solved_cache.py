@@ -1,7 +1,7 @@
 """The shared total spaces behind total_space_cohomology.
 
 Within one process each distinct (base, Euler class, top degree) is
-solved once and shared, and at most SOLVED_CACHE_SIZE are kept.  Sharing
+solved once and shared, and at most abelian.MEMO_SIZE are kept.  Sharing
 must not show in any report: the bytes of a job list are the same cold,
 warm, in reverse order and after the cache is cleared.
 """
@@ -10,9 +10,9 @@ import dataclasses
 
 import pytest
 
+from tdual.abelian import MEMO_SIZE
 from tdual.cli import run_job
 from tdual.gysin import (
-    SOLVED_CACHE_SIZE,
     CircleBundle,
     GysinError,
     total_space_cohomology,
@@ -52,7 +52,7 @@ def _emit(jobs):
 
 def test_reports_do_not_depend_on_what_the_cache_holds():
     jobs = _mixed_jobs()
-    assert len({(j["base"], j["euler"]) for j in jobs}) > SOLVED_CACHE_SIZE
+    assert len({(j["base"], j["euler"]) for j in jobs}) > MEMO_SIZE
     total_space_cohomology.cache_clear()
     cold = _emit(jobs)
     assert all('"error"' not in doc for doc in cold)
@@ -90,12 +90,12 @@ def test_shared_value_is_immutable():
 
 
 def test_cache_stays_within_its_bound():
-    assert total_space_cohomology.cache_info().maxsize == SOLVED_CACHE_SIZE
+    assert total_space_cohomology.cache_info().maxsize == MEMO_SIZE
     total_space_cohomology.cache_clear()
-    for n in range(SOLVED_CACHE_SIZE + 5):
+    for n in range(MEMO_SIZE + 5):
         total_space_cohomology(_bundle("S2", n), 3)
-        assert total_space_cohomology.cache_info().currsize <= SOLVED_CACHE_SIZE
-    assert total_space_cohomology.cache_info().currsize == SOLVED_CACHE_SIZE
+        assert total_space_cohomology.cache_info().currsize <= MEMO_SIZE
+    assert total_space_cohomology.cache_info().currsize == MEMO_SIZE
 
 
 def test_failed_build_is_not_kept():

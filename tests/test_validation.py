@@ -32,7 +32,6 @@ from tdual.abelian import (
     IntMatrix,
     _inverse,
     _section,
-    _snf_with_inverses,
     cokernel,
     cokernel_presentation,
     direct_sum,
@@ -40,6 +39,7 @@ from tdual.abelian import (
     kernel,
     quotient_by,
     section_matrix,
+    smith_normal_form,
     solve_hom,
 )
 from tdual.gysin import CircleBundle, total_space_cohomology
@@ -118,7 +118,7 @@ Z3 = FgGroup(0, (3,))
 @example(IntMatrix.zeros(0, 5))
 @example(IntMatrix.zeros(5, 0))
 def test_smith_forms_are_checked_matrices(m):
-    greedy, hermite = _snf_with_inverses(m), hermite_only(m)
+    greedy, hermite = smith_normal_form(m), hermite_only(m)
     assert checked(*greedy, _inverse(greedy[0])) and checked(*hermite)
     assert greedy[1] == hermite[1]
 
@@ -207,7 +207,7 @@ def test_dense_arithmetic_matches_the_entrywise_definition():
 def test_empty_presentation_equals_the_smith_form_path(shape):
     n, k = shape
     relations = IntMatrix.zeros(n, k)
-    snf = u, d, _ = _snf_with_inverses(relations)
+    snf = u, d, _ = smith_normal_form(relations)
     assert d.diagonal() == []  # every row is free, kept in order
     presentation = group, proj, kept, presented = cokernel_presentation(relations)
     assert (group, proj, kept) == (FgGroup(n), u, tuple(range(n)))
