@@ -12,9 +12,11 @@ coordinate vectors with respect to the canonical generators; torsion
 coordinates are always stored reduced.
 
 Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
-which keeps maps into and out of the zero group honest.  Values compare by
-value: kernel, cokernel_presentation, section_matrix, solve_hom, direct_sum
-are memos.  Only cokernel_presentation calls smith_normal_form; kernel,
+which keeps maps into and out of the zero group honest.  IntMatrix,
+FgGroup, GroupElement and Hom are tuple-backed: named tuples, equal to the
+plain tuple of their fields, that compare and hash in C.  kernel,
+cokernel_presentation, section_matrix, solve_hom and direct_sum are memos
+keyed by them.  Only cokernel_presentation calls smith_normal_form; kernel,
 solve_hom and section_matrix read its answer.  u^-1 is derived from u, by
 one Hermite pass, only where a section is read: direct_sum and
 sublattice_quotient.  _snf_with_inverses is smith_normal_form under the
@@ -23,7 +25,7 @@ name the benchmark's tracer wraps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul
 from typing import Optional, Sequence
@@ -45,35 +47,40 @@ def _check_dims(*dims: int) -> None:
         raise ValueError(f"matrix dimensions must be nonnegative integers: {dims}")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class _Value(tuple):
+    """Base of the value types: blocks the tuple operators they never had."""
+
+    __slots__ = ()
+    __add__ = __mul__ = __rmul__ = __lt__ = __le__ = __gt__ = __ge__ = None
+
+
+class IntMatrix(_Value, namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix with explicit shape; columns act on vectors.
 
-    The public constructors check the shape and that every entry is an
-    int; matrices computed from checked ones are built by the unchecked _of.
+    m[i] is row i.  The public constructors check the shape and that every
+    entry is an int; matrices computed from checked ones are built by _of.
     """
 
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+    __slots__ = ()
+
+    def __new__(cls, rows: int, cols: int, entries) -> "IntMatrix":
+        _check_dims(rows, cols)
+        m = tuple.__new__(cls, (rows, cols, tuple(tuple(row) for row in entries)))
+        m.__post_init__()
+        return m
 
     def __post_init__(self):
-        _check_dims(self.rows, self.cols)
-        ent = tuple(tuple(row) for row in self.entries)
+        """The entry check, called once by each checked construction."""
+        ent = self.entries
         if len(ent) != self.rows or any(len(r) != self.cols for r in ent):
             raise ValueError("entries do not match the declared shape")
         if not all(type(x) is int for row in ent for x in row):
             raise ValueError("matrix entries must be integers")
-        object.__setattr__(self, "entries", ent)
 
     @classmethod
     def _of(cls, rows: int, cols: int, entries: tuple) -> "IntMatrix":
         """Unchecked: entries must be `rows` int tuples of length `cols`."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
-        return m
+        return tuple.__new__(cls, (rows, cols, entries))
 
     @classmethod
     def from_rows(cls, rows, cols: Optional[int] = None) -> "IntMatrix":
@@ -361,24 +368,23 @@ def _back_substitute(d: IntMatrix, uy: Sequence[int]) -> Optional[list]:
 # groups and elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FgGroup:
+class FgGroup(_Value, namedtuple("FgGroup", "free_rank torsion")):
     """A finitely generated abelian group in invariant-factor form."""
 
-    free_rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.free_rank) is not int or self.free_rank < 0:
+    def __new__(cls, free_rank: int, torsion: tuple[int, ...] = ()) -> "FgGroup":
+        if type(free_rank) is not int or free_rank < 0:
             raise ValueError(f"free rank must be a nonnegative integer, "
-                             f"got {self.free_rank!r}")
-        object.__setattr__(self, "torsion", tuple(self.torsion))
-        for d in self.torsion:
+                             f"got {free_rank!r}")
+        torsion = tuple(torsion)
+        for d in torsion:
             if type(d) is not int or d < 2:
                 raise ValueError(f"invariant factor {d!r} is not an integer >= 2")
-        for a, b in zip(self.torsion, self.torsion[1:]):
+        for a, b in zip(torsion, torsion[1:]):
             if b % a != 0:
-                raise ValueError(f"broken divisibility chain {self.torsion}")
+                raise ValueError(f"broken divisibility chain {torsion}")
+        return tuple.__new__(cls, (free_rank, torsion))
 
     @property
     def ngens(self) -> int:
@@ -419,11 +425,9 @@ class FgGroup:
 
     def _element(self, coords: Sequence[int]) -> "GroupElement":
         """element() without the int check: coords must be ngens ints."""
-        x = object.__new__(GroupElement)
-        object.__setattr__(x, "group", self)
-        object.__setattr__(x, "coords", tuple(coords) if not self.torsion else tuple(
-            c % d if d else c for c, d in zip(coords, self.moduli)))
-        return x
+        if self.torsion:
+            coords = [c % d if d else c for c, d in zip(coords, self.moduli)]
+        return tuple.__new__(GroupElement, (self, tuple(coords)))
 
     def zero_element(self) -> "GroupElement":
         return self.element([0] * self.ngens)
@@ -464,13 +468,11 @@ class FgGroup:
 ZERO_GROUP = FgGroup(0)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FgGroup
-    coords: tuple
+class GroupElement(_Value, namedtuple("GroupElement", "group coords")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", self.group.reduce_coords(self.coords))
+    def __new__(cls, group: FgGroup, coords) -> "GroupElement":
+        return tuple.__new__(cls, (group, group.reduce_coords(coords)))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -500,8 +502,7 @@ class HomError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Hom:
+class Hom(_Value, namedtuple("Hom", "domain codomain matrix")):
     """A homomorphism given by its matrix on canonical generators.
 
     Column j is the image of domain generator j in codomain coordinates.
@@ -509,30 +510,23 @@ class Hom:
     (the order of each domain generator kills its image).
     """
 
-    domain: FgGroup
-    codomain: FgGroup
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.matrix.shape != (self.codomain.ngens, self.domain.ngens):
-            raise HomError(
-                f"matrix is {self.matrix.shape}, expected "
-                f"({self.codomain.ngens}, {self.domain.ngens})")
-        reduced = _reduce_matrix(self.codomain, self.matrix)
-        object.__setattr__(self, "matrix", reduced)
-        tors_cols = reduced.columns()[self.domain.free_rank:]
-        for j, (d, col) in enumerate(zip(self.domain.torsion, tors_cols)):
-            if any(self.codomain.reduce_coords([d * c for c in col])):
+    def __new__(cls, domain: FgGroup, codomain: FgGroup, matrix: IntMatrix) -> "Hom":
+        if matrix.shape != (codomain.ngens, domain.ngens):
+            raise HomError(f"matrix is {matrix.shape}, expected "
+                           f"({codomain.ngens}, {domain.ngens})")
+        reduced = _reduce_matrix(codomain, matrix)
+        tors_cols = reduced.columns()[domain.free_rank:]
+        for j, (d, col) in enumerate(zip(domain.torsion, tors_cols)):
+            if any(codomain.reduce_coords([d * c for c in col])):
                 raise HomError(f"ill-defined on torsion generator {j} of order {d}")
+        return tuple.__new__(cls, (domain, codomain, reduced))
 
     @classmethod
     def _of(cls, domain: FgGroup, codomain: FgGroup, matrix: IntMatrix) -> "Hom":
         """Unchecked: matrix must be well defined on torsion; stored reduced."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "domain", domain)
-        object.__setattr__(h, "codomain", codomain)
-        object.__setattr__(h, "matrix", _reduce_matrix(codomain, matrix))
-        return h
+        return tuple.__new__(cls, (domain, codomain, _reduce_matrix(codomain, matrix)))
 
     @classmethod
     def zero(cls, domain: FgGroup, codomain: FgGroup) -> "Hom":

@@ -42,7 +42,7 @@ from .gysin import (
     split_degree,
     total_space_cohomology,
 )
-from .spaces import GradedCohomology
+from .spaces import GradedCohomology, named_generator
 
 
 class SelfTestError(RuntimeError):
@@ -101,6 +101,8 @@ def mapping_torus_cohomology(cover: GradedCohomology, actions: dict,
     torsion invariants leaves the extension undetermined and flags the
     degree.  `circle` names the class of the torus direction.
     """
+    if stray := [n for n in actions if n not in range(len(cover.groups))]:
+        raise ValueError(f"actions: degree {stray[0]} is not in 0..{cover.max_degree}")
     shifts = [Hom.zero(ZERO_GROUP, ZERO_GROUP)]
     for n, g in enumerate(cover.groups):
         if n not in actions and not g.is_zero():
@@ -153,7 +155,7 @@ class BundleTable:
         return self.tsc.group(k)
 
     def named_element(self, k: int, name: str) -> GroupElement:
-        return self.tsc.group(k).generator(self.names[k].index(name))
+        return named_generator(self.tsc.group(k), self.names[k], k, name)
 
 
 def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull):

@@ -47,7 +47,8 @@ from .abelian import (
     section_matrix,
     solve_hom,
 )
-from .spaces import GradedCohomology, cohomology_of, inherited_names, sum_named
+from .spaces import (GradedCohomology, cohomology_of, inherited_names,
+                     named_generator, sum_named)
 from .report import group_json, matrix_json
 
 
@@ -173,7 +174,7 @@ class TotalSpaceCohomology:
         return self._degree(k).names
 
     def named_element(self, k: int, name: str) -> GroupElement:
-        return self.group(k).generator(self.names(k).index(name))
+        return named_generator(self.group(k), self.names(k), k, name)
 
     def pullback(self, k: int) -> Hom:
         return self._degree(k).pullback

@@ -33,6 +33,14 @@ from .abelian import (
 # graded cohomology with cup-by-degree-2 data
 # ---------------------------------------------------------------------------
 
+def named_generator(group: FgGroup, names: tuple, k: int, name: str) -> GroupElement:
+    """The generator of group (degree k of a table) that names calls name."""
+    if name not in names:
+        raise ValueError(f"degree {k} has no generator {name!r}; "
+                         f"available: {list(names)}")
+    return group.generator(names.index(name))
+
+
 @dataclass(frozen=True)
 class GradedCohomology:
     label: str
@@ -62,7 +70,7 @@ class GradedCohomology:
     def named_element(self, k: int, name: str) -> GroupElement:
         if k < 0:
             raise ValueError(f"{self.label}: degree {k} has no generators")
-        return self.group(k).generator(self.names[k].index(name))
+        return named_generator(self.group(k), self.names[k], k, name)
 
     def cup_by(self, e: GroupElement, k: int) -> Hom:
         """The map (cup with e): H^k -> H^(k+2), for e in H^2."""

@@ -23,6 +23,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 from tdual import abelian, classifying, cli, gysin, report, tduality
 from tdual.abelian import IntMatrix
 from tdual.spaces import cohomology_of, parse_space
@@ -45,6 +47,34 @@ def test_every_traced_target_exists(monkeypatch):
     out = getattr(owner, attr)(IntMatrix.from_rows([[2, 4], [6, 8]]))
     assert all(isinstance(m, IntMatrix) for m in out)
     assert tracing._max_bits(out) > 0
+
+
+def test_a_checked_matrix_runs_the_entry_check_once(monkeypatch):
+    """The tracer counts abelian.intmatrix.built by wrapping
+    IntMatrix.__post_init__, so each checked construction must call it
+    exactly once, a refused one included, and the unchecked _of, which
+    builds identity, zeros, products, sums and Smith forms, never: a
+    constructor that skipped it would make the counter read 0."""
+    calls = []
+    check = IntMatrix.__post_init__
+
+    def counted(m):
+        calls.append(m)
+        check(m)
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", counted)
+    m = IntMatrix(2, 2, [[1, 2], [3, 4]])
+    assert calls == [m]
+    IntMatrix.from_rows([[1, 2]])
+    IntMatrix.from_columns([(1, 2)], 2)
+    assert len(calls) == 3
+    with pytest.raises(ValueError, match="declared shape"):
+        IntMatrix(2, 2, [[1, 2]])
+    assert len(calls) == 4
+    IntMatrix.identity(3) @ IntMatrix.zeros(3, 2)
+    m.hstack(m).add(m.hstack(m)).scale(3)
+    abelian.smith_normal_form(m)
+    assert len(calls) == 4
 
 
 def test_the_smith_form_is_a_plain_function():

@@ -127,6 +127,25 @@ def test_missing_action_errors():
         mapping_torus_cohomology(cover, {0: IntMatrix.identity(1)})
 
 
+@pytest.mark.parametrize("stray", [7, -1])
+def test_actions_outside_the_cover_degrees_are_refused(stray):
+    # the r32 cover has degrees 0..4; an extra deck matrix is a misnumbered
+    # degree, not data to drop
+    actions = {0: IntMatrix.identity(1), 2: fixtures.R32_PI2_ACTION,
+               4: fixtures.R32_DEGREE4_ACTION,
+               stray: IntMatrix.identity(3 if stray > 0 else 2)}
+    with pytest.raises(ValueError, match=f"^actions: degree {stray} is not in 0..4$"):
+        mapping_torus_cohomology(fixtures.r32_cover(), actions)
+
+
+def test_an_unknown_bundle_table_name_is_refused_with_the_names_of_its_degree():
+    e32 = universal_bundle_tables().e32
+    assert e32.named_element(3, "h") == e32.group(3).generator(1)
+    with pytest.raises(ValueError, match=r"^degree 3 has no generator 'hhat'; "
+                                         r"available: \['p\*\(a2l\)', 'h'\]$"):
+        e32.named_element(3, "hhat")
+
+
 # ---------------------------------------------------------------------------
 # homotopy tables
 # ---------------------------------------------------------------------------

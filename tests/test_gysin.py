@@ -122,6 +122,14 @@ def test_names_on_nilmanifold():
                                          -tsc.base.named_element(2, "vol"))
 
 
+def test_an_unknown_generator_name_is_refused_with_the_names_of_its_degree():
+    tsc = bundle_over("S2", [0], 3)
+    assert tsc.named_element(3, "vol.z") == tsc.group(3).generator(0)
+    with pytest.raises(ValueError, match=r"^degree 3 has no generator 'vol'; "
+                                         r"available: \['vol\.z'\]$"):
+        tsc.named_element(3, "vol")
+
+
 def test_degree_range_checks():
     base = cohomology_of(parse_space("S2"), 3)
     e = base.group(2).element([1])

@@ -94,6 +94,16 @@ def test_cp2_table_and_ring():
     assert cup.matrix.entries == ((1,),)
 
 
+def test_an_unknown_generator_name_is_refused_with_the_names_of_its_degree():
+    gc = cohomology_of(parse_space("CP2"), 5)
+    with pytest.raises(ValueError, match=r"^degree 2 has no generator 'b'; "
+                                         r"available: \['a'\]$"):
+        gc.named_element(2, "b")
+    with pytest.raises(ValueError, match=r"^degree 1 has no generator 'a'; "
+                                         r"available: \[\]$"):
+        gc.named_element(1, "a")
+
+
 def test_rp3_table():
     gc = cohomology_of(parse_space("RP3"), 4)
     assert groups_of(gc) == [Z, ZERO_GROUP, Z2, Z, ZERO_GROUP]
