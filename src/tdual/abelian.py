@@ -57,8 +57,8 @@ class _Value(tuple):
 class IntMatrix(_Value, namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix with explicit shape; columns act on vectors.
 
-    m[i] is row i.  The public constructors check the shape and that every
-    entry is an int; matrices computed from checked ones are built by _of.
+    The public constructors check the shape and that every entry is an
+    int; matrices computed from checked ones are built by the unchecked _of.
     """
 
     __slots__ = ()
@@ -106,9 +106,6 @@ class IntMatrix(_Value, namedtuple("IntMatrix", "rows cols entries")):
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         _check_dims(rows, cols)
         return cls._of(rows, cols, ((0,) * cols,) * rows)
-
-    def __getitem__(self, i: int) -> tuple:
-        return self.entries[i]
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -47,7 +47,7 @@ def test_z_group_cohomology_degree4_action():
     # the degree-4 deck action on Z^5; shift invariant factors frozen from
     # the determinantal-divisor oracle: diag(1, 2, 0, 0, 0)
     phi = fixtures.R32_DEGREE4_ACTION
-    shift_rows = [[phi[i][j] - (1 if i == j else 0) for j in range(5)]
+    shift_rows = [[phi.entries[i][j] - (1 if i == j else 0) for j in range(5)]
                   for i in range(5)]
     assert oracles.invariant_factors_oracle(shift_rows) == [1, 2, 0, 0, 0]
     g = FgGroup(5)

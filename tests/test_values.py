@@ -61,6 +61,9 @@ def test_a_value_equals_the_plain_tuple_of_its_fields():
     assert g == (1, (2,)) and hash(g) == hash((1, (2,)))
     assert IntMatrix(1, 1, ((7,),)) == (1, 1, ((7,),))
     assert g.element([1, 1]) == (g, (1, 1))
+    # indexing agrees with iteration and equality: m[i] is field i, not row i
+    m = IntMatrix.from_rows(ROWS)
+    assert (m[0], m[1], m[2]) == tuple(m) == (2, 3, ROWS) and len(m) == 3
 
 
 @pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
