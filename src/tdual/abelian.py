@@ -16,11 +16,12 @@ which keeps maps into and out of the zero group honest.  IntMatrix,
 FgGroup, GroupElement and Hom are tuple-backed: named tuples, equal to the
 plain tuple of their fields, that compare and hash in C.  kernel,
 cokernel_presentation, section_matrix, solve_hom and direct_sum are memos
-keyed by them.  Only cokernel_presentation calls smith_normal_form; kernel,
-solve_hom and section_matrix read its answer.  u^-1 is derived from u, by
-one Hermite pass, only where a section is read: direct_sum and
-sublattice_quotient.  _snf_with_inverses is smith_normal_form under the
-name the benchmark's tracer wraps.
+keyed by them; every tdual cache is a memo, which clear_memos() empties.
+Only cokernel_presentation calls smith_normal_form; kernel, solve_hom and
+section_matrix read its answer.  u^-1 is derived from u, by one Hermite
+pass, only where a section is read: direct_sum and sublattice_quotient.
+_snf_with_inverses is smith_normal_form under the name the benchmark's
+tracer wraps.
 """
 
 from __future__ import annotations
@@ -30,12 +31,23 @@ from functools import lru_cache
 from operator import add, mul
 from typing import Optional, Sequence
 
-# Each memo keeps its MEMO_SIZE latest answers by argument value, none that
-# raised; total_space_cohomology.cache_clear() empties them all.  Cokernels,
+# Each memo keeps its MEMO_SIZE latest answers by argument value and type,
+# none that raised; clear_memos() empties every memo in _MEMOS.  Cokernels,
 # quotients, direct sums and kernels share cokernel_presentation's answers;
 # kernel, solve_hom, section_matrix and is_exact_at read its Smith forms.
 MEMO_SIZE = 16
-memo = lru_cache(maxsize=MEMO_SIZE)
+_MEMOS = []
+
+
+def memo(fn):
+    _MEMOS.append(cached := lru_cache(maxsize=MEMO_SIZE, typed=True)(fn))
+    return cached
+
+
+def clear_memos() -> None:
+    """Empty every memo: the cold-start hook."""
+    for cached in _MEMOS:
+        cached.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -415,26 +427,30 @@ class FgGroup(_Value, namedtuple("FgGroup", "free_rank torsion")):
             raise ValueError(f"expected {self.ngens} coordinates, got {len(coords)}")
         if not all(type(c) is int for c in coords):
             raise ValueError(f"coordinates must be integers, got {list(coords)!r}")
-        return self._element(coords).coords
+        return self._reduce(coords)
+
+    def _reduce(self, coords: Sequence[int]) -> tuple:
+        """reduce_coords() without the checks: coords must be ngens ints."""
+        if self.torsion:
+            return tuple([c % d if d else c for c, d in zip(coords, self.moduli)])
+        return tuple(coords)
 
     def element(self, coords: Sequence[int]) -> "GroupElement":
-        return GroupElement(self, tuple(coords))
+        return GroupElement(self, coords)
 
     def _element(self, coords: Sequence[int]) -> "GroupElement":
-        """element() without the int check: coords must be ngens ints."""
-        if self.torsion:
-            coords = [c % d if d else c for c, d in zip(coords, self.moduli)]
-        return tuple.__new__(GroupElement, (self, tuple(coords)))
+        """element() without the checks: coords must be ngens ints."""
+        return tuple.__new__(GroupElement, (self, self._reduce(coords)))
 
     def zero_element(self) -> "GroupElement":
-        return self.element([0] * self.ngens)
+        return tuple.__new__(GroupElement, (self, (0,) * self.ngens))
 
     def generator(self, i: int) -> "GroupElement":
         if type(i) is not int:
             raise ValueError(f"generator index must be an integer, got {i!r}")
         if not 0 <= i < self.ngens:
             raise ValueError(f"{self.describe()} has no generator {i}")
-        return self.element([1 if j == i else 0 for j in range(self.ngens)])
+        return self._element([1 if j == i else 0 for j in range(self.ngens)])
 
     def generators(self) -> list["GroupElement"]:
         return [self.generator(i) for i in range(self.ngens)]
@@ -480,7 +496,7 @@ class GroupElement(_Value, namedtuple("GroupElement", "group coords")):
         return self.group._element([a + b for a, b in zip(self.coords, other.coords)])
 
     def __neg__(self) -> "GroupElement":
-        return self.group.element([-a for a in self.coords])
+        return self.group._element([-a for a in self.coords])
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
         return self + (-other)
@@ -488,7 +504,7 @@ class GroupElement(_Value, namedtuple("GroupElement", "group coords")):
     def scale(self, n: int) -> "GroupElement":
         if type(n) is not int:
             raise ValueError(f"scale factor must be an integer, got {n!r}")
-        return self.group.element([n * a for a in self.coords])
+        return self.group._element([n * a for a in self.coords])
 
 
 # ---------------------------------------------------------------------------

@@ -152,8 +152,8 @@ def _build_total(spec):
 
 def run_job(spec: dict) -> dict:
     """Dispatch one job; deterministic output for identical input.  Reports
-    share the table of each bundle and the node of each group and matrix,
-    which emit_json writes once per indent: a report is read-only."""
+    share one node per distinct total-space table, group and matrix (report
+    memos), which emit_json writes once per indent: a report is read-only."""
     name = spec.get("mode")
     mode = MODES.get(name) if isinstance(name, str) else None
     if mode is None:

@@ -24,8 +24,9 @@ lifts b and H in tduality.py) and `GysinDegree.choice` (one explicit
 preimage under p!): x = p*(lift(x)) + choice(p!(x)) for every class x.
 
 All maps are fixed as explicit matrices at construction time, and a
-solved total space is immutable, so `total_space_cohomology` shares one
-per bundle and top degree: a memo, like the group operations it calls.
+solved total space is immutable, so `total_space_cohomology`, the class
+behind an abelian.memo, shares one per bundle and top degree (bundles
+compare by value), like the group operations it calls.
 """
 
 from __future__ import annotations
@@ -39,17 +40,14 @@ from .abelian import (
     Hom,
     IntMatrix,
     cokernel,
-    cokernel_presentation,
-    direct_sum,
     is_exact_at,
     kernel,
     memo,
     section_matrix,
     solve_hom,
 )
-from .spaces import (GradedCohomology, cohomology_of, inherited_names,
-                     named_generator, sum_named)
-from .report import group_json, matrix_json
+from .spaces import (GradedCohomology, inherited_names, named_generator,
+                     sum_named)
 
 
 # The names a total-space generator inherits from a base generator g:
@@ -133,11 +131,16 @@ def split_degree(f: Hom, g: Hom, coker_names, ker_names,
 
 
 class TotalSpaceCohomology:
-    """Cohomology of the total space with the Gysin maps, degrees 0..top."""
+    """Cohomology of the total space with the Gysin maps, degrees 0..top;
+    positional arguments, so a space has one total_space_cohomology key."""
 
-    def __init__(self, bundle: CircleBundle, top: int):
+    def __init__(self, bundle: CircleBundle, top: int, /):
         base = bundle.base
-        if top < 0 or top + 1 > base.max_degree:
+        if type(top) is not int:
+            raise GysinError(f"top degree must be an integer, got {top!r}")
+        if top < 0:
+            raise GysinError(f"top degree must be nonnegative, got {top}")
+        if top + 1 > base.max_degree:
             raise GysinError(
                 f"need base cohomology through degree {top + 1}, "
                 f"have {base.max_degree}")
@@ -150,7 +153,6 @@ class TotalSpaceCohomology:
             base.cup_by(self.euler, k - 2) for k in range(top + 2))
         self.degrees: tuple[GysinDegree, ...] = tuple(
             self._build_degree(k) for k in range(top + 1))
-        self.report_table = None  # report.total_space_json's, on first use
 
     def _build_degree(self, k: int) -> GysinDegree:
         base = self.base
@@ -186,33 +188,7 @@ class TotalSpaceCohomology:
         return [k for k in range(self.top + 1) if self.degrees[k].ambiguous]
 
 
-_solved = memo(TotalSpaceCohomology)
-
-
-def total_space_cohomology(bundle: CircleBundle,
-                           max_degree: Optional[int] = None) -> TotalSpaceCohomology:
-    """Solve the bundle's cohomology in degrees 0..max_degree.
-
-    The default top degree is base.max_degree - 1, the highest degree the
-    sequence determines from the available base data.
-
-    Bundles compare by value, so the abelian.MEMO_SIZE most recent (base,
-    Euler class, top degree) are each solved once; `.cache_info()` reads
-    this memo and `.cache_clear()` empties every memo (abelian.memo).
-    """
-    top = bundle.base.max_degree - 1 if max_degree is None else max_degree
-    return _solved(bundle, top)
-
-
-def _clear_memos():
-    for cached in (_solved, split_degree, cohomology_of, cokernel_presentation,
-                   direct_sum, kernel, section_matrix, solve_hom, group_json,
-                   matrix_json):
-        cached.cache_clear()
-
-
-total_space_cohomology.cache_clear = _clear_memos
-total_space_cohomology.cache_info = _solved.cache_info
+total_space_cohomology = memo(TotalSpaceCohomology)
 
 
 def exactness_audit(tsc: TotalSpaceCohomology) -> bool:

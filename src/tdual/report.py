@@ -2,9 +2,9 @@
 
 Groups serialize as {"rank": r, "torsion": [d1, ...]} plus a display
 string like "Z^2 + Z/4"; maps serialize as row-major integer matrices.
-Each distinct group and matrix is one shared node (a memo), written once
-per indent like a total-space table, so reports are read-only.  JSON
-output is schema-versioned, key-sorted and newline-terminated, so
+Each distinct group, matrix and total-space table is one shared node (a
+memo keyed by value), written once per indent, so reports are read-only.
+JSON output is schema-versioned, key-sorted and newline-terminated, so
 identical jobs yield byte-identical documents and parse/re-emit round
 trips are stable.  emit_json gives json.dumps' bytes: it joins each int
 list at once and formats each list of equal-length int rows with one %
@@ -25,9 +25,8 @@ _LITERALS = {True: "true", False: "false", None: "null"}  # json.dumps of each
 
 class Table(dict):
     """A dict that keeps its JSON text per indent once _json writes it.
-    Reports share the Table of each solved total space and of each group
-    and matrix, so a report is read-only; copy, deepcopy and pickle give
-    a plain dict."""
+    Reports share the Table of each total-space table, group and matrix, so
+    a report is read-only; copy, deepcopy and pickle give a plain dict."""
     __slots__ = ("texts",)
 
     def __init__(self, doc):
@@ -60,14 +59,19 @@ def graded_json(groups, names) -> dict:
             for k, (g, ns) in enumerate(zip(groups, names))}
 
 
-def total_space_json(tsc) -> dict:
-    """tsc's table, built on first use and kept by tsc (see Table)."""
-    if tsc.report_table is None:
-        tsc.report_table = Table(graded_json(
-            [d.group for d in tsc.degrees], [d.names for d in tsc.degrees]))
-        for k in tsc.ambiguous_degrees():
-            tsc.report_table[str(k)]["ambiguous_extension"] = True
-    return tsc.report_table
+def total_space_json(tsc) -> Table:
+    """tsc's table: one shared Table for each equal table (see Table)."""
+    return _table_json(tuple(d.group for d in tsc.degrees),
+                       tuple(d.names for d in tsc.degrees),
+                       tuple(tsc.ambiguous_degrees()))
+
+
+@memo
+def _table_json(groups, names, ambiguous) -> Table:
+    table = Table(graded_json(groups, names))
+    for k in ambiguous:
+        table[str(k)]["ambiguous_extension"] = True
+    return table
 
 
 def emit_json(doc: dict) -> str:

@@ -569,11 +569,11 @@ def sum_names_by_parts(parts):
 # triples from coordinates (uses package code)
 # ---------------------------------------------------------------------------
 
-def make_triple(base, euler_coords, b_coords, flux_coords, max_degree=None):
-    """The triple over the cohomology `base` with the Euler class, b and
-    flux given as coordinate lists."""
+def make_triple(base, euler_coords, b_coords, flux_coords, top):
+    """The triple over the cohomology `base` solved through degree top,
+    with the Euler class, b and flux given as coordinate lists."""
     e = base.group(2).element(euler_coords)
-    total = total_space_cohomology(CircleBundle(base, e), max_degree)
+    total = total_space_cohomology(CircleBundle(base, e), top)
     return Triple(total,
                   total.group(2).element(b_coords),
                   total.group(3).element(flux_coords))

@@ -222,7 +222,7 @@ def test_inverse_of_unimodular_matrices(u):
 def test_only_sections_derive_an_inverse(monkeypatch):
     """The Smith form tracks no inverse, and only the readers of a section
     derive one: a question that needs none must not pay for it."""
-    gysin.total_space_cohomology.cache_clear()  # every memo cold
+    abelian.clear_memos()  # every memo cold
     inverses, original = [], abelian._inverse
     monkeypatch.setattr(abelian, "_inverse", lambda u: inverses.append(u) or original(u))
     m = IntMatrix.from_rows([[2, 4, 0], [0, 6, 0], [3, 1, 0]])
@@ -391,14 +391,14 @@ def test_greedy_budget_has_a_margin_on_batch_jobs(monkeypatch):
                         abelian._GREEDY_BITS_PER_LINE / 3)
     monkeypatch.setattr(abelian, "_hermite", counting)
     monkeypatch.setattr(abelian, "smith_normal_form", tracked)
-    gysin.total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     try:
         jobs = 0
         for spec in batch_jobs():
             cli.run_job(spec)
             jobs += 1
     finally:
-        gysin.total_space_cohomology.cache_clear()
+        abelian.clear_memos()
     assert jobs > 400
     assert fallbacks == []
 

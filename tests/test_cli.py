@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +33,18 @@ def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def test_the_module_entry_point_writes_what_main_writes():
+    """`python -m tdual.cli` runs main on its arguments and exits with its
+    code, from the source tree."""
+    argv = ["tables", "homotopy", "--format", "json"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "tdual.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stdout == run_cli(argv)[1]
 
 
 def test_parse_class_forms():

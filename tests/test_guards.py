@@ -203,16 +203,25 @@ def test_the_exactness_audit_names_each_failure():
 # the dual flux
 # ---------------------------------------------------------------------------
 
+def test_a_triple_needs_its_total_space_through_degree_three():
+    base = cohomology_of(parse_space("S2"), 3)
+    tsc = total_space_cohomology(CircleBundle(base, base.group(2).generator(0)), 2)
+    zero = tsc.group(2).zero_element()
+    with pytest.raises(ValueError, match="^a triple needs total-space data "
+                                         "through degree 3$"):
+        Triple(tsc, zero, zero)
+
+
 def test_dual_flux_refuses_the_total_space_of_another_bundle():
     cp2 = cohomology_of(parse_space("CP2"), 5)
     a = cp2.named_element(2, "a")
-    source = total_space_cohomology(CircleBundle(cp2, a))     # S^5, H^3 = 0
+    source = total_space_cohomology(CircleBundle(cp2, a), 4)  # S^5, H^3 = 0
     t = Triple(source, source.group(2).zero_element(),
                source.group(3).zero_element())
     # the true dual has e# = p!(0) = 0; over e# = a, a cup a != 0, so e
     # is not in ker(cup a) = 0, the image of q!
     with pytest.raises(ExactnessBugError, match="image of q!"):
-        dual_flux(t, total_space_cohomology(CircleBundle(cp2, a)))
+        dual_flux(t, total_space_cohomology(CircleBundle(cp2, a), 4))
     # cups of e# = 0 with the degrees of e# = a: cups[4] kills e, but the
     # degrees' image of q! is still ker(cup a) = 0
     mixed = TotalSpaceCohomology(CircleBundle(cp2, a), 4)

@@ -3,6 +3,8 @@ import pytest
 from tdual.abelian import FgGroup, ZERO_GROUP
 from tdual.gysin import (
     CircleBundle,
+    GysinError,
+    TotalSpaceCohomology,
     exactness_audit,
     total_space_cohomology,
 )
@@ -135,8 +137,30 @@ def test_degree_range_checks():
     e = base.group(2).element([1])
     with pytest.raises(ValueError):
         total_space_cohomology(CircleBundle(base, e), 3)  # needs degree-4 data
-    tsc = total_space_cohomology(CircleBundle(base, e))   # defaults to top = 2
-    assert tsc.top == 2
+    assert total_space_cohomology(CircleBundle(base, e), 2).top == 2
+
+
+def _lens_bundle():
+    base = cohomology_of(parse_space("S2"), 4)
+    return CircleBundle(base, base.group(2).element([1]))
+
+
+@pytest.mark.parametrize("top", [True, False, 1.0, "1", None])
+def test_a_top_degree_that_is_not_an_int_is_refused(top):
+    bundle = _lens_bundle()
+    assert total_space_cohomology(bundle, 1).top == 1     # solved and kept
+    assert total_space_cohomology(bundle, 0).top == 0
+    for solve in (total_space_cohomology, TotalSpaceCohomology):
+        with pytest.raises(GysinError, match=r"^top degree must be an integer, "
+                                             rf"got {top!r}$"):
+            solve(bundle, top)
+
+
+def test_a_negative_top_degree_is_refused():
+    for solve in (total_space_cohomology, TotalSpaceCohomology):
+        with pytest.raises(GysinError, match=r"^top degree must be "
+                                             r"nonnegative, got -1$"):
+            solve(_lens_bundle(), -1)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
 """The memos on the pure group operations and on the base tables.
 
-kernel, cokernel_presentation, section_matrix, solve_hom, direct_sum,
-spaces.cohomology_of, gysin.split_degree, the solved total spaces and the
-report nodes report.group_json and report.matrix_json each keep their
-MEMO_SIZE most recent answers, keyed by argument value; cokernel,
-quotient_by, direct_sum and kernel share their presentations through
+Every cache is an abelian.memo, listed in abelian._MEMOS: kernel,
+cokernel_presentation, section_matrix, solve_hom, direct_sum,
+spaces.cohomology_of, gysin.split_degree, the solved total spaces
+(gysin.total_space_cohomology) and the report nodes report.group_json,
+report.matrix_json and report._table_json each keep their MEMO_SIZE most
+recent answers, keyed by argument value and type; cokernel, quotient_by,
+direct_sum and kernel share their presentations through
 cokernel_presentation, which also keeps the Smith form that kernel,
 solve_hom and section_matrix read.  A memo must answer as the plain
 function does, hand out one shared value for equal arguments without
 factoring anything again, stay within its bound, keep no call that
-raises, and empty with total_space_cohomology.cache_clear(), the one
-cold-start hook.  What a solved total space keeps for its reports goes
-with it when it leaves.
+raises, and empty with abelian.clear_memos(), the one cold-start hook.
+No report table refers to a solved total space, so a space the memo lets
+go is freed at once.
 """
 
 import gc
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdual import abelian, classifying, gysin
+from tdual import abelian, classifying, gysin, report
 from tdual.abelian import (
     MEMO_SIZE,
     FgGroup,
@@ -40,7 +42,6 @@ from tdual.abelian import (
 )
 from tdual import cli
 from tdual.cli import run_job
-from tdual.gysin import total_space_cohomology
 from tdual.report import Table, emit_json, group_json, matrix_json
 from tdual.spaces import CatalogSpace, cohomology_of, parse_space
 
@@ -122,10 +123,11 @@ def counted_snf():
 
 
 def test_one_bound_for_every_memo():
-    assert {m.__wrapped__ for m in _memos()} == {f.__wrapped__ for f in (
-        kernel, cokernel_presentation, section_matrix, solve_hom,
-        cohomology_of, gysin._solved, group_json, matrix_json,
-        gysin.split_degree, direct_sum)}
+    """Every lru_cache a tdual module holds is a memo in the registry,
+    each registered once, with one bound; private ones are held too."""
+    assert len(set(map(id, abelian._MEMOS))) == len(abelian._MEMOS)
+    assert set(map(id, _memos())) == set(map(id, abelian._MEMOS))
+    assert {report._table_json, gysin.total_space_cohomology} <= set(_memos())
     assert all(m.cache_info().maxsize == MEMO_SIZE for m in _memos())
 
 
@@ -180,7 +182,7 @@ def test_a_repeated_question_shares_its_answer_and_factors_nothing(h, data):
 
 
 def test_equal_direct_sums_share_one_smith_form():
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     summands = (FgGroup(0, (2,)), FgGroup(0, (4,)))
     with counted_snf() as calls:
         first = direct_sum(summands)
@@ -218,14 +220,14 @@ def _twin_degree_args(args) -> tuple:
 
 
 def test_memoized_degrees_answer_as_the_plain_function():
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     for args, kwargs in _degree_questions():
         assert gysin.split_degree(*args, **kwargs) == \
             gysin.split_degree.__wrapped__(*_twin_degree_args(args), **kwargs)
 
 
 def test_a_repeated_degree_is_shared_and_factors_nothing():
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     asked = _degree_questions()
     keys = {(args, tuple(kwargs.items())) for args, kwargs in asked}
     assert len(keys) < len(asked)           # the catalog bundles share degrees
@@ -252,7 +254,7 @@ def test_memoized_direct_sums_answer_as_the_plain_function_and_share(summands):
 def test_questions_about_one_hom_share_its_smith_form(h, data):
     """cokernel, kernel, solve_hom and section_matrix all read the
     factorization of [h | relations] that cokernel_presentation keeps."""
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     stacked = abelian._stacked(h)
     y = h.codomain.element([data.draw(st.integers(-9, 9))
                             for _ in range(h.codomain.ngens)])
@@ -265,7 +267,7 @@ def test_questions_about_one_hom_share_its_smith_form(h, data):
 
 
 def test_every_memo_stays_within_its_bound():
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     n = MEMO_SIZE + 5
     scalings = [Hom(Z, Z, IntMatrix.from_rows([[k]])) for k in range(2, n + 2)]
     onto = [Hom(Z, FgGroup(0, (k,)), IntMatrix.from_rows([[1]]))
@@ -293,7 +295,7 @@ def test_every_memo_stays_within_its_bound():
 
 
 def test_a_failing_section_is_never_kept():
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     h = Hom(Z, FgGroup(0, (4,)), IntMatrix.from_rows([[2]]))   # not onto
     for i in range(3):
         with counted_snf() as calls, pytest.raises(HomError):
@@ -306,29 +308,28 @@ def test_a_failing_section_is_never_kept():
 
 
 def test_cache_clear_empties_every_memo():
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     run_job({"mode": "dualize", "base": "T2", "euler": "0", "flux": "2*vol.z"})
     run_job({"mode": "coset-partition", "base": "T2", "euler": "0",
              "gen": "2*p*(vol)"})
-    memos = _memos()
-    assert {group_json, matrix_json} <= set(memos)
+    memos = abelian._MEMOS
     assert all(m.cache_info().currsize for m in memos)
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     assert [m.cache_info().currsize for m in memos] == [0] * len(memos)
 
 
 def _written(euler: int):
     """A weakref to the solved total space over S2 with Euler class euler,
-    after a report of it was written: its table holds the table's text."""
+    after a report of it was written, its table's text kept by the table."""
     spec = {"mode": "cohomology", "base": "S2", "euler": str(euler)}
     emit_json(run_job(dict(spec)))
     return weakref.ref(cli._build_total(spec))
 
 
 def test_a_total_space_the_memo_lets_go_is_freed_at_once():
-    """No reference cycle through its report table: with the collector off,
-    eviction and cache_clear() free a solved total space by refcount."""
-    total_space_cohomology.cache_clear()
+    """No report table refers to the space: with the collector off,
+    eviction and clear_memos() free a solved total space by refcount."""
+    abelian.clear_memos()
     gc.disable()
     try:
         evicted = _written(1)
@@ -336,7 +337,7 @@ def test_a_total_space_the_memo_lets_go_is_freed_at_once():
             _written(euler)
         assert evicted() is None
         cleared = _written(1)
-        total_space_cohomology.cache_clear()
+        abelian.clear_memos()
         assert cleared() is None
     finally:
         gc.enable()

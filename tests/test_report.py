@@ -23,9 +23,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdual import cli
-from tdual.abelian import FgGroup, IntMatrix
+from tdual.abelian import FgGroup, IntMatrix, clear_memos
 from tdual.cli import run_job
-from tdual.gysin import total_space_cohomology
+from tdual.gysin import CircleBundle, TotalSpaceCohomology
 from tdual.report import (
     SCHEMA_VERSION,
     Table,
@@ -33,6 +33,7 @@ from tdual.report import (
     emit_text,
     group_json,
     matrix_json,
+    total_space_json,
 )
 
 BASES = (["point"] + [f"S{n}" for n in range(1, 9)] + ["T2"]
@@ -196,7 +197,7 @@ def written_as_json_dumps_would(doc):
 @pytest.mark.parametrize("base, euler, flux", SOLVED)
 def test_reports_of_a_solved_bundle_share_its_table_at_every_depth(
         base, euler, flux):
-    total_space_cohomology.cache_clear()
+    clear_memos()
     bundle = {"base": base, "euler": euler}
     first = run_job({"mode": "cohomology", **bundle})
     written_as_json_dumps_would(first)          # the table's text at depth 1
@@ -218,6 +219,18 @@ def test_reports_of_a_solved_bundle_share_its_table_at_every_depth(
         assert out.getvalue() == want
 
 
+def test_equal_tables_share_one_node_whatever_space_they_come_from():
+    """A table is keyed by its value, not by the solved space: a space
+    built outside the memo gets the memo's space's table."""
+    clear_memos()
+    spec = {"mode": "cohomology", "base": "RP3", "euler": "a"}
+    table = run_job(dict(spec))["total_space"]
+    tsc = cli._build_total(spec)
+    twin = TotalSpaceCohomology(CircleBundle(tsc.base, tsc.euler), tsc.top)
+    assert twin is not tsc and total_space_json(twin) is table
+    assert table["3"]["ambiguous_extension"] is True
+
+
 def _tables(doc):
     """Every Table node in doc, at any depth."""
     if type(doc) is Table:
@@ -231,7 +244,7 @@ def _tables(doc):
 def test_two_reports_share_a_group_node_written_at_two_depths(order):
     """H^2 of L(4) is the h2 node of a coset-partition report (depth 1)
     and the group of degree 2 of a cohomology report (depth 3)."""
-    total_space_cohomology.cache_clear()
+    clear_memos()
     bundle = {"base": "S2", "euler": "4"}
     docs = [run_job({"mode": "cohomology", **bundle}),
             run_job({"mode": "coset-partition", **bundle, "gen": "0"})]
@@ -244,7 +257,7 @@ def test_two_reports_share_a_group_node_written_at_two_depths(order):
 
 
 def test_a_copied_report_is_plain_and_free_to_change():
-    total_space_cohomology.cache_clear()
+    clear_memos()
     doc = run_job({"mode": "dualize", "base": "S2", "euler": "vol",
                    "flux": "vol.z"})
     emit_json(doc)                              # the shared texts are written
@@ -297,7 +310,7 @@ def test_shared_nodes_are_written_as_json_dumps_would_at_every_depth(
     """Each group and matrix node, new to the memo, written at depths 1-5
     in a drawn order, as it stands and inside one document that holds it
     at every depth."""
-    total_space_cohomology.cache_clear()
+    clear_memos()
     nodes = [group_json(v) if type(v) is FgGroup else matrix_json(v)
              for v in values]
     for depth in depths:

@@ -290,7 +290,7 @@ def snf_calls(monkeypatch):
     """SNF calls from here on, counted for a cold job: solved total spaces
     are shared within a process, so the budgets would otherwise depend on
     which earlier test solved the same bundle."""
-    total_space_cohomology.cache_clear()
+    abelian.clear_memos()
     calls = [0]
     original = abelian.smith_normal_form
 

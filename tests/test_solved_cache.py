@@ -10,7 +10,7 @@ import dataclasses
 
 import pytest
 
-from tdual.abelian import MEMO_SIZE
+from tdual.abelian import MEMO_SIZE, clear_memos
 from tdual.cli import run_job
 from tdual.gysin import (
     CircleBundle,
@@ -53,13 +53,13 @@ def _emit(jobs):
 def test_reports_do_not_depend_on_what_the_cache_holds():
     jobs = _mixed_jobs()
     assert len({(j["base"], j["euler"]) for j in jobs}) > MEMO_SIZE
-    total_space_cohomology.cache_clear()
+    clear_memos()
     cold = _emit(jobs)
     assert all('"error"' not in doc for doc in cold)
     # each job right after itself, so every bundle it needs is cached
     warm = [_emit([job, job])[1] for job in jobs]
     backwards = _emit(jobs[::-1])[::-1]
-    total_space_cohomology.cache_clear()
+    clear_memos()
     cleared = _emit(jobs)
     assert warm == cold
     assert backwards == cold
@@ -77,7 +77,8 @@ def test_equal_bundles_share_one_value():
     assert first.base is not second.base and first == second
     tsc = total_space_cohomology(first, 3)
     assert total_space_cohomology(second, 3) is tsc
-    assert total_space_cohomology(second) is tsc       # None means top 3 here
+    with pytest.raises(TypeError):      # positional only: one key per space
+        total_space_cohomology(second, top=3)
     assert total_space_cohomology(second, 2) is not tsc
     assert total_space_cohomology(_bundle("T2", 3), 3) is not tsc
 
@@ -91,7 +92,7 @@ def test_shared_value_is_immutable():
 
 def test_cache_stays_within_its_bound():
     assert total_space_cohomology.cache_info().maxsize == MEMO_SIZE
-    total_space_cohomology.cache_clear()
+    clear_memos()
     for n in range(MEMO_SIZE + 5):
         total_space_cohomology(_bundle("S2", n), 3)
         assert total_space_cohomology.cache_info().currsize <= MEMO_SIZE
@@ -99,11 +100,11 @@ def test_cache_stays_within_its_bound():
 
 
 def test_failed_build_is_not_kept():
-    total_space_cohomology.cache_clear()
+    clear_memos()
     bundle = _bundle("S2", 1, max_degree=3)
     for _ in range(2):                    # raises each time, never cached
         with pytest.raises(GysinError):
             total_space_cohomology(bundle, 3)     # needs degree-4 data
         assert total_space_cohomology.cache_info().currsize == 0
-    assert total_space_cohomology(bundle).top == 2
+    assert total_space_cohomology(bundle, 2).top == 2
     assert total_space_cohomology.cache_info().currsize == 1

@@ -32,6 +32,7 @@ from tdual.abelian import (
     IntMatrix,
     _inverse,
     _section,
+    clear_memos,
     cokernel,
     cokernel_presentation,
     direct_sum,
@@ -169,11 +170,11 @@ def test_every_hom_of_the_catalog_sweep_is_checked(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(Hom, "_of", staticmethod(recording))
-    total_space_cohomology.cache_clear()   # build every table again
+    clear_memos()   # build every table again
     try:
         reports = list(_sweep_jobs())
     finally:
-        total_space_cohomology.cache_clear()
+        clear_memos()
     assert len(reports) > 200 and len(built) > 1000
     assert all(map(oracles.is_checked_hom, built))
 
