@@ -224,7 +224,7 @@ def _coset_json(c) -> dict:
         "coset": list(c.coset.coords),
     }
     if c.representatives is not None:
-        out["coset_representatives"] = list(c.representatives)
+        out["coset_representatives"] = report.Rows(c.representatives)
     return out
 
 

@@ -132,7 +132,8 @@ def split_degree(f: Hom, g: Hom, coker_names, ker_names,
 
 class TotalSpaceCohomology:
     """Cohomology of the total space with the Gysin maps, degrees 0..top;
-    positional arguments, so a space has one total_space_cohomology key."""
+    positional arguments, so a space has one total_space_cohomology key,
+    and read-only, since that memo hands the one space to every caller."""
 
     def __init__(self, bundle: CircleBundle, top: int, /):
         base = bundle.base
@@ -144,15 +145,19 @@ class TotalSpaceCohomology:
             raise GysinError(
                 f"need base cohomology through degree {top + 1}, "
                 f"have {base.max_degree}")
-        self.base = base
-        self.euler = bundle.euler
-        self.top = top
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "euler", bundle.euler)
+        object.__setattr__(self, "top", top)
         # cups[k] = (cup e: H^(k-2)(W) -> H^k(W)), built once for the
         # degrees and the exactness audit; zero maps below degree 2
-        self.cups: tuple[Hom, ...] = tuple(
-            base.cup_by(self.euler, k - 2) for k in range(top + 2))
-        self.degrees: tuple[GysinDegree, ...] = tuple(
-            self._build_degree(k) for k in range(top + 1))
+        object.__setattr__(self, "cups", tuple(
+            base.cup_by(self.euler, k - 2) for k in range(top + 2)))
+        object.__setattr__(self, "degrees", tuple(
+            self._build_degree(k) for k in range(top + 1)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"a solved total space is read-only: cannot set {name!r}")
 
     def _build_degree(self, k: int) -> GysinDegree:
         base = self.base

@@ -7,8 +7,8 @@ memo keyed by value), written once per indent, so reports are read-only.
 JSON output is schema-versioned, key-sorted and newline-terminated, so
 identical jobs yield byte-identical documents and parse/re-emit round
 trips are stable.  emit_json gives json.dumps' bytes: it joins each int
-list at once and formats each list of equal-length int rows with one %
-call.
+list at once and formats each Rows (the int rows that matrix_json and the
+coset blocks build) with one % call; no other list is taken for rows.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ class Table(dict):
         return dict, (dict(self),)
 
 
+class Rows(list):
+    """Equal-length rows of exact ints for _json; copies are plain lists."""
+    __slots__ = ()
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 @memo
 def group_json(g: FgGroup) -> Table:
     return Table({"rank": g.free_rank, "torsion": list(g.torsion),
@@ -46,7 +54,7 @@ def group_json(g: FgGroup) -> Table:
 @memo
 def matrix_json(m: IntMatrix) -> Table:
     return Table({"rows": m.rows, "cols": m.cols,
-                  "entries": [list(r) for r in m.entries]})
+                  "entries": Rows(map(list, m.entries))})
 
 
 def hom_json(h: Hom) -> dict:
@@ -76,7 +84,7 @@ def _table_json(groups, names, ambiguous) -> Table:
 
 def emit_json(doc: dict) -> str:
     """The bytes of json.dumps(doc, sort_keys=True, indent=2) plus a
-    newline, writing int lists and int-row lists at once; str keys only."""
+    newline, writing int lists and Rows at once; str keys only."""
     return _json(doc, "\n") + "\n"
 
 
@@ -101,15 +109,14 @@ def _json(value, nl: str) -> str:
         items = [f"{encode_basestring_ascii(k)}: {_json(value[k], inner)}"
                  for k in sorted(value)]   # f-strings: one new string per item
         return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
-    if (kinds := set(map(type, value))) == {int}:   # not bool: prints true
-        return f"[{inner}{(',' + inner).join(map(str, value))}{nl}]"
-    if kinds in ({list}, {tuple}) and len(set(map(len, value))) == 1:
+    if kind is Rows and value[0]:   # rows of width 0: general path
+        inner2 = inner + "  "
+        row = ("[" + inner2 + ("," + inner2).join(["%d"] * len(value[0]))
+               + inner + "]")   # one % call writes every row
         flat = tuple(chain.from_iterable(value))
-        if set(map(type, flat)) == {int}:   # empty rows: general path
-            inner2 = inner + "  "
-            row = ("[" + inner2 + ("," + inner2).join(["%d"] * len(value[0]))
-                   + inner + "]")   # one % call writes every row
-            return f"[{inner}{(',' + inner).join([row] * len(value)) % flat}{nl}]"
+        return f"[{inner}{(',' + inner).join([row] * len(value)) % flat}{nl}]"
+    if set(map(type, value)) == {int}:   # not bool: prints true
+        return f"[{inner}{(',' + inner).join(map(str, value))}{nl}]"
     items = [_json(x, inner) for x in value]
     return f"[{inner}{(',' + inner).join(items)}{nl}]"
 

@@ -4,13 +4,15 @@ Shape and membership checks refuse a malformed input with ValueError (or
 its subclasses HomError and GysinError); the internal invariant checks of
 exactness_audit and dual_flux raise when handed inconsistent data.  The
 inconsistent data is built here by hand: total spaces are constructed
-directly, never taken from the memo and then altered.
+directly, never taken from the memo, and altered past their read-only
+guard with object.__setattr__.
 """
 
 from dataclasses import replace
 
 import pytest
 
+from tdual import cli
 from tdual.abelian import (
     FgGroup,
     Hom,
@@ -171,10 +173,11 @@ def test_degrees_outside_the_solved_range_are_refused():
 
 
 def _swapped(tsc, k, **maps):
-    """tsc with degree k's stored maps replaced."""
+    """tsc with degree k's stored maps replaced, past its read-only guard
+    (tsc is solved outside the memo, so no other caller shares it)."""
     degrees = list(tsc.degrees)
     degrees[k] = replace(degrees[k], **maps)
-    tsc.degrees = tuple(degrees)
+    object.__setattr__(tsc, "degrees", tuple(degrees))
     return tsc
 
 
@@ -197,6 +200,22 @@ def test_the_exactness_audit_names_each_failure():
                                               push.matrix.scale(2)))
     with pytest.raises(GysinError, match="at H\\^0\\(base\\) after p!"):
         exactness_audit(broken)
+
+
+def test_a_solved_total_space_is_read_only():
+    """The memo hands one solved space to every caller: none may change it
+    under the next one."""
+    spec = {"mode": "cohomology", "base": "S2", "euler": "vol"}
+    tsc = cli._build_total(spec)
+    assert (tsc.top, len(tsc.degrees)) == (3, 4)
+    for field, value in (("top", 1), ("degrees", ()), ("cups", ()),
+                         ("extra", 0)):
+        with pytest.raises(AttributeError, match="^a solved total space is "
+                           f"read-only: cannot set '{field}'$"):
+            setattr(tsc, field, value)
+    again = cli._build_total(spec)
+    assert again is tsc and (again.top, len(again.degrees)) == (3, 4)
+    assert len(again.cups) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +244,8 @@ def test_dual_flux_refuses_the_total_space_of_another_bundle():
     # cups of e# = 0 with the degrees of e# = a: cups[4] kills e, but the
     # degrees' image of q! is still ker(cup a) = 0
     mixed = TotalSpaceCohomology(CircleBundle(cp2, a), 4)
-    mixed.cups = TotalSpaceCohomology(
-        CircleBundle(cp2, cp2.group(2).zero_element()), 4).cups
+    object.__setattr__(mixed, "cups", TotalSpaceCohomology(
+        CircleBundle(cp2, cp2.group(2).zero_element()), 4).cups)
     with pytest.raises(ExactnessBugError, match="image of q!"):
         dual_flux(t, mixed)
 

@@ -1,10 +1,12 @@
 """The report JSON writer must give exactly json.dumps' bytes.
 
 emit_json writes strings, ints, bools, None, empty containers, int lists
-and lists of int rows itself instead of calling the indenting encoder, so
-its output is compared with json.dumps(doc, sort_keys=True, indent=2) +
-"\\n" over drawn report-shaped values and over the reports of every
-catalog base.  Only str keys are written: any other key raises the
+and report.Rows itself instead of calling the indenting encoder, so its
+output is compared with json.dumps(doc, sort_keys=True, indent=2) + "\\n"
+over drawn report-shaped values and over the reports of every catalog
+base.  Only a Rows is written as integer rows: the report builders make
+one of every list of int rows, and any other list of lists takes the
+general path.  Only str keys are written: any other key raises the
 TypeError of json's string encoder.  A solved total space keeps its table
 and the table's text per indent, so later reports of the bundle share
 both, and each distinct group and matrix is one shared node in the same
@@ -28,6 +30,7 @@ from tdual.cli import run_job
 from tdual.gysin import CircleBundle, TotalSpaceCohomology
 from tdual.report import (
     SCHEMA_VERSION,
+    Rows,
     Table,
     emit_json,
     emit_text,
@@ -65,8 +68,8 @@ ints = st.one_of(st.integers(-10, 10), st.integers(),
 # int lists, with bools mixed in (they must stay true/false, not 1/0)
 int_lists = st.lists(st.one_of(ints, st.booleans()))
 scalars = st.one_of(st.none(), st.booleans(), ints, texts)
-# lists of equal-length int rows, which are written one row format each,
-# and row lists that must not be: ragged, with an empty, bool or tuple row
+# plain lists of equal-length int rows, and row lists that no Rows could
+# hold: ragged, with an empty, bool or tuple row; all take the general path
 int_rows = st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(ints, min_size=n, max_size=n), min_size=1, max_size=5))
 other_rows = st.lists(st.one_of(
@@ -78,9 +81,9 @@ report_values = st.recursive(
                             st.dictionaries(texts, inner, max_size=4)),
     max_leaves=20)
 
-# 512 width-1 tuples and 300 width-3 lists whose last row breaks one test
-# of the int-row writer: a bool, float or int-subclass entry, a ragged
-# row, a list among tuples (a tuple among lists), an empty row
+# 512 width-1 tuples and 300 width-3 lists, in plain lists, whose last row
+# no Rows could hold: a bool, float or int-subclass entry, a ragged row, a
+# list among tuples (a tuple among lists), an empty row
 TUPLE_ROWS = [(k,) for k in range(511)]
 LIST_ROWS = [[k, -k, 2 ** 70] for k in range(299)]
 BAD_LAST = ([TUPLE_ROWS + [bad] for bad in
@@ -112,11 +115,17 @@ def examples(*docs):
 @example({"a": [1, True, 0], "b": [], "c": {}, "d": [[], {}, [2 ** 70, -1]]})
 @example({"k\"\\\x01é": "v\"\\\n☃", "": None, "flags": [False]})
 @example([[2 ** 80, -(2 ** 80), 0], [1, -1, 2 ** 79]])
+# plain lists of rows, which take the general path whatever they hold
 @example([[1, 2], [3]])                 # ragged
+@example([[1], [2, 3]])
 @example([[], []])                      # empty rows
 @example([[1, True], [2, 3]])           # a bool entry
+@example([[True, 1]])
+@example([[1.0, 2]])                    # a float entry
 @example([[1, 2], (3, 4)])              # a tuple row
+@example([[1], (2,)])
 @example([(1, 2), (3, -4), (2 ** 70, 0)])  # all tuple rows
+@example([(2 ** 80, -3)])
 @example([[1, 2], {"a": [[3, 4]]}])     # rows mixed with a dict
 @example({"a": True, "b": 1, "c": 0, "d": False})  # 1 == True, 0 == False
 @example([1, True, None, 0, False])
@@ -231,13 +240,13 @@ def test_equal_tables_share_one_node_whatever_space_they_come_from():
     assert table["3"]["ambiguous_extension"] is True
 
 
-def _tables(doc):
-    """Every Table node in doc, at any depth."""
-    if type(doc) is Table:
+def _nodes(doc, kind):
+    """Every node of type kind in doc, at any depth."""
+    if type(doc) is kind:
         yield doc
     if isinstance(doc, (dict, list, tuple)):
         for value in doc.values() if isinstance(doc, dict) else doc:
-            yield from _tables(value)
+            yield from _nodes(value, kind)
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -261,13 +270,15 @@ def test_a_copied_report_is_plain_and_free_to_change():
     doc = run_job({"mode": "dualize", "base": "S2", "euler": "vol",
                    "flux": "vol.z"})
     emit_json(doc)                              # the shared texts are written
-    shared = list(_tables(doc))
+    shared = list(_nodes(doc, Table))
     assert {("display", "rank", "torsion"), ("cols", "entries", "rows")} <= {
         tuple(sorted(t)) for t in shared}       # group and matrix nodes
     for table in shared:
         assert type(copy.copy(table)) is dict and copy.copy(table) == table
+    assert list(_nodes(doc, Rows))              # matrix entries, coset lifts
     for copied in (copy.deepcopy(doc), pickle.loads(pickle.dumps(doc))):
-        assert copied == doc and not list(_tables(copied))
+        assert copied == doc and not list(_nodes(copied, Table))
+        assert not list(_nodes(copied, Rows))
     changed = copy.deepcopy(doc)
     changed["source"]["table"]["0"]["generators"] = ["one"]
     changed["flux_ambiguity"]["subgroup"]["display"] = "changed"
@@ -319,3 +330,66 @@ def test_shared_nodes_are_written_as_json_dumps_would_at_every_depth(
             assert emit_json(doc) == reference(doc)
     doc = [_nested(node, depth) for depth in depths for node in nodes]
     assert emit_json(doc) == reference(doc)
+
+
+def test_a_copied_rows_is_a_plain_list():
+    rows = Rows([[1, 2], [3, 4]])
+    for copied in (copy.copy(rows), copy.deepcopy(rows),
+                   pickle.loads(pickle.dumps(rows))):
+        assert type(copied) is list and copied == rows
+
+
+@st.composite
+def int_row_nodes(draw):
+    """A Rows of 0-600 rows of one width 0-4, each row a list or a tuple,
+    with entries past 64 bits."""
+    width = draw(st.integers(0, 4))
+    row = st.lists(st.integers(-(2 ** 80), 2 ** 80),
+                   min_size=width, max_size=width)
+    return Rows(draw(st.lists(st.one_of(row, row.map(tuple)), max_size=600)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_row_nodes(), st.integers(1, 5))
+@example(Rows([(k, -k) for k in range(600)]), 5)
+@example(Rows([[2 ** 80, -(2 ** 80), 0, 1], (1, 2, 3, 4)]), 2)
+@example(Rows([[], ()]), 1)                     # width 0: general path
+@example(Rows(), 3)
+def test_rows_are_written_as_json_dumps_would_at_every_depth(rows, depth):
+    doc = _nested(rows, depth)
+    assert emit_json(doc) == reference(doc)
+
+
+def _row_lists(doc):
+    """Every list or tuple in doc, at any depth, that holds rows."""
+    if isinstance(doc, dict):
+        for value in doc.values():
+            yield from _row_lists(value)
+    elif isinstance(doc, (list, tuple)):
+        if doc and all(isinstance(x, (list, tuple)) for x in doc):
+            yield doc
+        for value in doc:
+            yield from _row_lists(value)
+
+
+def test_every_list_of_int_rows_in_a_report_is_a_rows():
+    """The writer formats only a Rows as int rows, so a report field of
+    int rows that the builders leave a plain list would only be slower:
+    this finds it.  Each Rows must hold exact ints for its %d fields."""
+    docs = [*_sweep_jobs(),
+            run_job({"mode": "coset-partition", "base": "S2", "euler": "0",
+                     "gen": "512"}),
+            run_job({"mode": "dualize", "base": "CP2", "euler": "0",
+                     "flux": "300*a.z"})]
+    assert [len(docs[-1]["cosets"][side]["coset_representatives"])
+            for side in ("source", "target")] == [300, 300]
+    assert len(docs[-2]["partition"]["coset_representatives"]) == 512
+    for doc in docs:
+        for rows in _row_lists(doc):
+            width = len(rows[0])
+            if type(rows) is Rows:
+                assert all(type(x) is int for row in rows for x in row)
+            elif width and all(len(row) == width
+                               and all(type(x) is int for x in row)
+                               for row in rows):
+                pytest.fail(f"int rows outside a Rows in {doc['input']}")
