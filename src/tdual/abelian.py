@@ -13,8 +13,9 @@ coordinates are always stored reduced.
 
 Matrices carry their shape explicitly (a 3x0 matrix is not a 0x3 one),
 which keeps maps into and out of the zero group honest.  IntMatrix,
-FgGroup, GroupElement and Hom are tuple-backed: named tuples, equal to the
-plain tuple of their fields, that compare and hash in C.  kernel,
+FgGroup, GroupElement and Hom, like every tdual value type built on
+_Value, are tuple-backed: named tuples, equal to the plain tuple of their
+fields, that compare and hash in C.  kernel,
 cokernel_presentation, section_matrix, solve_hom and direct_sum are memos
 keyed by them; every tdual cache is a memo, which clear_memos() empties.
 Only cokernel_presentation calls smith_normal_form; kernel, solve_hom and

@@ -23,7 +23,7 @@ mismatch is a fatal self-test failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import fixtures
 from .abelian import (
@@ -32,13 +32,13 @@ from .abelian import (
     Hom,
     IntMatrix,
     ZERO_GROUP,
+    _Value,
     is_isomorphism,
 )
 from .gysin import (
     FIBER,
     PULLBACK,
     CircleBundle,
-    TotalSpaceCohomology,
     split_degree,
     total_space_cohomology,
 )
@@ -53,18 +53,18 @@ class SelfTestError(RuntimeError):
 # cohomology of an infinite cyclic group action
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ZAction:
+class ZAction(_Value, namedtuple("ZAction", "automorphism")):
     """An integer-invertible automorphism of its domain, the deck action of
     a Z-quotient."""
 
-    automorphism: Hom
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.automorphism.domain != self.automorphism.codomain:
+    def __new__(cls, automorphism: Hom) -> "ZAction":
+        if automorphism.domain != automorphism.codomain:
             raise ValueError("automorphism must be an endomorphism of the group")
-        if not is_isomorphism(self.automorphism):
+        if not is_isomorphism(automorphism):
             raise ValueError("deck action must be invertible over Z")
+        return tuple.__new__(cls, (automorphism,))
 
     @property
     def group(self) -> FgGroup:
@@ -84,10 +84,10 @@ class ZAction:
 # mapping torus assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MappingTorusCohomology:
-    table: GradedCohomology
-    ambiguous: tuple       # degrees where the two-row extension is torsion
+class MappingTorusCohomology(_Value, namedtuple("MappingTorusCohomology", [
+        "table",
+        "ambiguous"])):    # degrees where the two-row extension is torsion
+    __slots__ = ()
 
 
 def mapping_torus_cohomology(cover: GradedCohomology, actions: dict,
@@ -144,12 +144,12 @@ def r32_cohomology_computed() -> MappingTorusCohomology:
 # canonical bundles over R32
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BundleTable:
+class BundleTable(_Value, namedtuple("BundleTable", [
+        "tsc",
+        "names"])):        # per degree, aligned with canonical generators
     """A total-space table relabeled with the reference generator names."""
 
-    tsc: TotalSpaceCohomology
-    names: tuple           # per degree, aligned with canonical generators
+    __slots__ = ()
 
     def group(self, k: int) -> FgGroup:
         return self.tsc.group(k)
@@ -191,10 +191,8 @@ def _relabel_and_check(tsc, ref_groups, ref_names, ref_push, ref_pull):
     return BundleTable(tsc, tuple(tuple(ref) for ref in ref_names))
 
 
-@dataclass(frozen=True)
-class UniversalBundles:
-    e32: BundleTable
-    e32_hat: BundleTable
+class UniversalBundles(_Value, namedtuple("UniversalBundles", "e32 e32_hat")):
+    __slots__ = ()
 
 
 def universal_bundle_tables() -> UniversalBundles:

@@ -31,14 +31,14 @@ compare by value), like the group operations it calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .abelian import (
     FgGroup,
     GroupElement,
     Hom,
-    IntMatrix,
+    _Value,
     cokernel,
     is_exact_at,
     kernel,
@@ -60,31 +60,29 @@ class GysinError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CircleBundle:
-    base: GradedCohomology
-    euler: GroupElement
+class CircleBundle(_Value, namedtuple("CircleBundle", "base euler")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.euler.group != self.base.group(2):
+    def __new__(cls, base: GradedCohomology, euler: GroupElement) -> "CircleBundle":
+        if euler.group != base.group(2):
             raise GysinError("Euler class must lie in H^2 of the base")
+        return tuple.__new__(cls, (base, euler))
 
 
-@dataclass(frozen=True)
-class GysinDegree:
+class GysinDegree(_Value, namedtuple("GysinDegree", [
+        "group", "names",
+        "coker_sect",       # a section of f.codomain -> coker(f)
+        "ker_incl",         # ker(g) -> g.domain, e.g. p! image -> H^(k-1)(W)
+        "pullback_image",   # coker(f) -> group, im(p*) in H^k(E)
+        "into_ker",         # ker(g) -> group
+        "onto_coker",       # group -> coker(f)
+        "pullback",         # f.codomain -> group, p* for a bundle
+        "pushforward",      # group -> g.domain, p! for a bundle
+        "ambiguous"])):
     """One degree of 0 -> coker(f) -> group -> ker(g) -> 0 in split form,
     read through its maps to and from the two rows (see split_degree)."""
 
-    group: FgGroup
-    names: tuple
-    coker_sect: IntMatrix     # a section of f.codomain -> coker(f)
-    ker_incl: Hom             # ker(g) -> g.domain, e.g. p! image -> H^(k-1)(W)
-    pullback_image: Hom       # coker(f) -> group, im(p*) in H^k(E)
-    into_ker: Hom             # ker(g) -> group
-    onto_coker: Hom           # group -> coker(f)
-    pullback: Hom             # f.codomain -> group, p* for a bundle
-    pushforward: Hom          # group -> g.domain, p! for a bundle
-    ambiguous: bool
+    __slots__ = ()
 
     def lift(self, x: GroupElement) -> GroupElement:
         """The canonical beta whose pullback is x - choice(pushforward(x)),
@@ -155,9 +153,11 @@ class TotalSpaceCohomology:
         object.__setattr__(self, "degrees", tuple(
             self._build_degree(k) for k in range(top + 1)))
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError(
             f"a solved total space is read-only: cannot set {name!r}")
+
+    __delattr__ = __setattr__
 
     def _build_degree(self, k: int) -> GysinDegree:
         base = self.base

@@ -15,7 +15,7 @@ respect to the listed generator order of each degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Optional
 
 from .abelian import (
@@ -24,6 +24,7 @@ from .abelian import (
     Hom,
     IntMatrix,
     ZERO_GROUP,
+    _Value,
     direct_sum,
     memo,
 )
@@ -41,24 +42,29 @@ def named_generator(group: FgGroup, names: tuple, k: int, name: str) -> GroupEle
     return group.generator(names.index(name))
 
 
-@dataclass(frozen=True)
-class GradedCohomology:
-    label: str
-    groups: tuple  # FgGroup per degree 0..max_degree
-    names: tuple   # tuple of generator-name tuples per degree
-    # cup_gens[i][k]: matrix of cup with the i-th H^2 generator,
-    # H^k -> H^(k+2); None marks missing ring data for that generator.
-    cup_gens: Optional[tuple] = None
-    simply_connected: Optional[bool] = None
-    max_degree: int = field(init=False)
+class GradedCohomology(_Value, namedtuple("GradedCohomology", [
+        "label",
+        "groups",   # FgGroup per degree 0..max_degree
+        "names",    # tuple of generator-name tuples per degree
+        # cup_gens[i][k]: matrix of cup with the i-th H^2 generator,
+        # H^k -> H^(k+2); None marks missing ring data for that generator.
+        "cup_gens",
+        "simply_connected"])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "max_degree", len(self.groups) - 1)
-        if len(self.names) != len(self.groups):
+    def __new__(cls, label: str, groups: tuple, names: tuple,
+                cup_gens: Optional[tuple] = None,
+                simply_connected: Optional[bool] = None) -> "GradedCohomology":
+        if len(names) != len(groups):
             raise ValueError("one name tuple per degree required")
-        for g, ns in zip(self.groups, self.names):
+        for g, ns in zip(groups, names):
             if len(ns) != g.ngens:
                 raise ValueError(f"{len(ns)} names for {g.ngens} generators")
+        return tuple.__new__(cls, (label, groups, names, cup_gens, simply_connected))
+
+    @property
+    def max_degree(self) -> int:
+        return len(self.groups) - 1
 
     def group(self, k: int) -> FgGroup:
         """H^k: zero below degree 0, refused above the table's top."""
@@ -143,17 +149,17 @@ class UnknownSpaceError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CatalogSpace:
-    kind: str   # a key of _KINDS
-    param: int = 0
+class CatalogSpace(_Value, namedtuple("CatalogSpace", [
+        "kind",     # a key of _KINDS
+        "param"])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.kind not in _KINDS or type(self.param) is not int
-                or self.param not in _KINDS[self.kind][2]):
+    def __new__(cls, kind: str, param: int = 0) -> "CatalogSpace":
+        if (kind not in _KINDS or type(param) is not int
+                or param not in _KINDS[kind][2]):
             raise UnknownSpaceError(
-                f"no catalog space of kind {self.kind!r} with parameter "
-                f"{self.param!r}")
+                f"no catalog space of kind {kind!r} with parameter {param!r}")
+        return tuple.__new__(cls, (kind, param))
 
     def dimension(self) -> Optional[int]:
         dim = _KINDS[self.kind][1]

@@ -27,13 +27,13 @@ through H^2(W)/<e, e#> instead).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 from .abelian import (
-    FgGroup,
     GroupElement,
     Hom,
+    _Value,
     is_isomorphism,
     quotient_by,
     section_matrix,
@@ -55,19 +55,18 @@ class ExactnessBugError(RuntimeError):
     """An exactness fact the construction guarantees failed to hold."""
 
 
-@dataclass(frozen=True)
-class Triple:
-    total: TotalSpaceCohomology
-    b: GroupElement
-    flux: GroupElement
+class Triple(_Value, namedtuple("Triple", "total b flux")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.total.top < 3:
+    def __new__(cls, total: TotalSpaceCohomology, b: GroupElement,
+                flux: GroupElement) -> "Triple":
+        if total.top < 3:
             raise ValueError("a triple needs total-space data through degree 3")
-        if self.b.group != self.total.group(2):
+        if b.group != total.group(2):
             raise ValueError("b must lie in H^2 of the total space")
-        if self.flux.group != self.total.group(3):
+        if flux.group != total.group(3):
             raise ValueError("the flux must lie in H^3 of the total space")
+        return tuple.__new__(cls, (total, b, flux))
 
     @property
     def base(self):
@@ -78,29 +77,23 @@ class Triple:
         return self.total.euler
 
 
-@dataclass(frozen=True)
-class CosetData:
+class CosetData(_Value, namedtuple("CosetData", [
+        "subgroup_generator", "representative", "quotient", "projection",
+        "coset",                # class of the representative
+        "representatives"])):   # one lift per coset, reduced coords, or None
     """A coset b + <gen> inside H^2 of a total space."""
 
-    subgroup_generator: GroupElement
-    representative: GroupElement
-    quotient: FgGroup
-    projection: Hom
-    coset: GroupElement                 # class of the representative
-    representatives: Optional[tuple]    # one lift per coset, reduced coords
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    source: Triple
-    dual: Triple
-    flux_ambiguity: Hom                 # im(q*) -> H^3(E#), its domain the subgroup
-    source_coset: CosetData
-    target_coset: CosetData
-    coset_iso: Optional[Hom]
-    coset_iso_natural: bool
-    flags: tuple
-    ambiguous_degrees: tuple            # (degree, side) pairs
+class DualityReport(_Value, namedtuple("DualityReport", [
+        "source", "dual",
+        "flux_ambiguity",       # im(q*) -> H^3(E#), its domain the subgroup
+        "source_coset", "target_coset",
+        "coset_iso",            # a Hom, or None
+        "coset_iso_natural", "flags",
+        "ambiguous_degrees"])):  # (degree, side) pairs
+    __slots__ = ()
 
 
 def dual_euler(t: Triple) -> GroupElement:

@@ -8,8 +8,6 @@ directly, never taken from the memo, and altered past their read-only
 guard with object.__setattr__.
 """
 
-from dataclasses import replace
-
 import pytest
 
 from tdual import cli
@@ -176,7 +174,7 @@ def _swapped(tsc, k, **maps):
     """tsc with degree k's stored maps replaced, past its read-only guard
     (tsc is solved outside the memo, so no other caller shares it)."""
     degrees = list(tsc.degrees)
-    degrees[k] = replace(degrees[k], **maps)
+    degrees[k] = degrees[k]._replace(**maps)
     object.__setattr__(tsc, "degrees", tuple(degrees))
     return tsc
 
@@ -216,6 +214,18 @@ def test_a_solved_total_space_is_read_only():
     again = cli._build_total(spec)
     assert again is tsc and (again.top, len(again.degrees)) == (3, 4)
     assert len(again.cups) == 5
+
+
+def test_a_solved_total_space_refuses_deletion():
+    spec = {"mode": "cohomology", "base": "S2", "euler": "vol"}
+    tsc = cli._build_total(spec)
+    for field in ("top", "degrees", "cups"):
+        with pytest.raises(AttributeError, match="^a solved total space is "
+                           f"read-only: cannot set '{field}'$"):
+            delattr(tsc, field)
+    again = cli._build_total(spec)
+    assert again is tsc and (again.top, len(again.degrees)) == (3, 4)
+    assert again.group(2) == FgGroup(0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ must not show in any report: the bytes of a job list are the same cold,
 warm, in reverse order and after the cache is cleared.
 """
 
-import dataclasses
-
 import pytest
 
 from tdual.abelian import MEMO_SIZE, clear_memos
@@ -73,7 +71,7 @@ def _bundle(name, euler, max_degree=4):
 
 def test_equal_bundles_share_one_value():
     first = _bundle("T2", 2)
-    second = CircleBundle(dataclasses.replace(first.base), first.euler)
+    second = CircleBundle(first.base._replace(), first.euler)
     assert first.base is not second.base and first == second
     tsc = total_space_cohomology(first, 3)
     assert total_space_cohomology(second, 3) is tsc
@@ -86,7 +84,7 @@ def test_equal_bundles_share_one_value():
 def test_shared_value_is_immutable():
     tsc = total_space_cohomology(_bundle("S2", 4), 3)
     assert isinstance(tsc.degrees, tuple)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         tsc.degrees[2].group = tsc.degrees[3].group
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -379,7 +378,7 @@ def test_verifier_rejects_a_natural_witness_that_moves_b():
     assert is_isomorphism(negated)
     assert negated(rep.source_coset.coset) != rep.target_coset.coset
     assert not verify_coset_isomorphism(
-        t, dataclasses.replace(rep, coset_iso=negated))
+        t, rep._replace(coset_iso=negated))
 
 
 def _with_pullback_b(triples):

@@ -1,18 +1,34 @@
-"""The four value types of tdual.abelian are tuples of their fields.
+"""The value types of tdual are tuples of their fields.
 
-IntMatrix, FgGroup, GroupElement and Hom compare and hash as the tuple
-of their fields, so equal values built by different constructors are
-interchangeable memo keys.  They are immutable, survive pickle and
-deepcopy, and refuse the tuple operators that mean nothing for them.
-Products with an identity are built by the unchecked constructors.
+IntMatrix, FgGroup, GroupElement and Hom, and every value type above
+them (catalog spaces, base tables, bundles, Gysin degrees, cosets, deck
+actions, mapping tori, triples, reports and bundle tables), compare and
+hash as the tuple of their fields, so equal values built by different
+constructors are interchangeable memo keys.  They are immutable, survive
+pickle and deepcopy, and refuse the tuple operators that mean nothing for
+them.  Products with an identity are built by the unchecked constructors.
+No value type is a dataclass: importing the command line loads neither
+dataclasses nor the inspect module it brings.
 """
 
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
+import tdual
 from tdual.abelian import FgGroup, GroupElement, Hom, IntMatrix, _from_columns
+from tdual.classifying import (
+    ZAction,
+    r2_cohomology_computed,
+    universal_bundle_tables,
+)
+from tdual.gysin import CircleBundle, total_space_cohomology
+from tdual.spaces import cohomology_of, parse_space
+from tdual.tduality import Triple, coset_partition, dualize
 
 ROWS = ((1, 2, 3), (4, 5, 6))
 
@@ -28,8 +44,24 @@ def _matrices():
 def _values():
     g = FgGroup(1, (2, 4))
     h = Hom(FgGroup(1), g, IntMatrix.from_rows([[3], [1], [2]]))
+    s2 = cohomology_of(parse_space("S2"), 4)
+    bundle = CircleBundle(s2, s2.named_element(2, "vol").scale(2))
     return [IntMatrix(2, 3, ROWS), g, FgGroup(0), g.element([5, 3, 6]),
-            g._element([5, 3, 6]), h, Hom.identity(g).compose(h)]
+            g._element([5, 3, 6]), h, Hom.identity(g).compose(h),
+            parse_space("S2"), s2, bundle,
+            total_space_cohomology(bundle, 3).degrees[3],
+            coset_partition(g.element([1, 1, 2])),
+            ZAction.from_matrix(FgGroup(2), IntMatrix.from_rows([[1, 1], [0, 1]])),
+            r2_cohomology_computed()]
+
+
+def _holders():
+    """Values holding a solved total space, which compares by identity."""
+    s2 = cohomology_of(parse_space("S2"), 4)
+    tsc = total_space_cohomology(CircleBundle(s2, s2.named_element(2, "vol")), 3)
+    triple = Triple(tsc, tsc.group(2).zero_element(), tsc.group(3).generator(0))
+    universal = universal_bundle_tables()
+    return [triple, dualize(triple), universal.e32, universal]
 
 
 def test_equal_matrices_are_equal_and_hash_equal_from_every_constructor():
@@ -81,6 +113,29 @@ def test_pickle_and_deepcopy_give_an_equal_value_of_the_same_class(value):
                  copy.copy(value)):
         assert type(twin) is type(value)
         assert twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("value", _holders(), ids=lambda v: type(v).__name__)
+def test_values_holding_a_solved_space_are_tuples_and_refuse_assignment(value):
+    assert value == tuple(getattr(value, f) for f in value._fields)
+    for field in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+def test_importing_the_command_line_loads_no_dataclasses():
+    """-S: no site hook preloads a module, so every one listed came from
+    the import itself."""
+    root = os.path.dirname(os.path.dirname(tdual.__file__))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, tdual.cli; print(sorted("
+         "{'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": root}, capture_output=True,
+        text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_tuple_operators_are_refused():
